@@ -1,26 +1,32 @@
 """Composition operators that chain per-phase conditional kernels.
 
-A kernel maps a conditioning count to the pmf of the next phase's count.
-The protocol models wire these into the alternating link/crash chains; the
-only multi-parent case is a kernel conditioned on two earlier phases, which
-goes through a JointDistribution.
+A phase step is a row-stochastic kernel matrix K (row y: the pmf of the
+next count given count y), applied as `prior @ K`.  The crash step's K is
+the binomial thinning matrix, cached per (support_max, p_c); the models
+build their link-loss kernels with `prob.binom_rows`.
+
+The closure-based operators stay public API, though the models no longer
+call them: `total_probability`, `joint_via_kernel` and
+`total_probability_joint` evaluate a Kernel (any callable from a count to
+a Pmf) once per count with nonzero prior mass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
-from .prob import MASS_TOL, DomainError, NormalizationError, Pmf, _check_prob
+from .prob import MASS_TOL, DomainError, NormalizationError, Pmf, _check_prob, binom_rows
 
 __all__ = [
     "Kernel",
     "Kernel2",
     "JointDistribution",
     "crash_step",
+    "thinning_matrix",
     "total_probability",
     "joint_via_kernel",
     "total_probability_joint",
@@ -28,9 +34,6 @@ __all__ = [
     "bernoulli_convolve",
 ]
 
-# Conditioning value -> pmf of the next count.  Kernels are ordinary
-# callables; models memoize them per run with functools.cache, and values
-# with zero prior mass are never evaluated.
 Kernel = Callable[[int], Pmf]
 Kernel2 = Callable[[int, int], Pmf]
 
@@ -61,6 +64,21 @@ class JointDistribution:
         return Pmf(self.probs.sum(axis=0))
 
 
+@lru_cache(maxsize=8)
+def thinning_matrix(support_max: int, p_c: float) -> np.ndarray:
+    """Crash-step kernel on 0..support_max: row c is Binomial(c, 1 - p_c).
+    Read-only; a model applies the same few (support_max, p_c) again and
+    again, so a bounded number of them are cached."""
+    mat = binom_rows(np.arange(support_max + 1), 1.0 - p_c)
+    mat.flags.writeable = False
+    return mat
+
+
+def thin(mass: np.ndarray, p_c: float) -> np.ndarray:
+    """Crash step on raw masses: one pmf (1-d) or a stack of row pmfs (2-d)."""
+    return mass @ thinning_matrix(mass.shape[-1] - 1, p_c)
+
+
 def crash_step(prior: Pmf, p_c: float) -> Pmf:
     """Thin a count distribution by independent per-process survival.
 
@@ -69,26 +87,7 @@ def crash_step(prior: Pmf, p_c: float) -> Pmf:
     The support is unchanged.
     """
     _check_prob(p_c, "p_c")
-    q = 1.0 - p_c
-    m = prior.support_max
-    if q == 1.0:
-        return prior
-    if q == 0.0:
-        return Pmf.point(0, m)
-    # Lower-triangular mixture: row c is Binomial(c, q) over 0..c.
-    counts = np.arange(m + 1, dtype=float)
-    c = counts[:, None]
-    j = counts[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = (
-            gammaln(c + 1.0)
-            - gammaln(j + 1.0)
-            - gammaln(c - j + 1.0)
-            + j * np.log(q)
-            + (c - j) * np.log1p(-q)
-        )
-    kernel = np.where(j <= c, np.exp(logs), 0.0)
-    return Pmf(prior.mass @ kernel)
+    return Pmf(thin(prior.mass, p_c))
 
 
 def total_probability(kernel: Kernel, prior: Pmf) -> Pmf:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "MASS_TOL",
@@ -22,6 +23,8 @@ __all__ = [
     "Pmf",
     "binom_pmf",
     "binom_range",
+    "binom_ranges",
+    "binom_rows",
     "pmf_binomial",
     "normal_quantile",
 ]
@@ -63,11 +66,17 @@ class FailureParams:
 
 @dataclass(frozen=True, eq=False)
 class Pmf:
-    """Dense pmf over the integer support 0..support_max.
+    """Dense, validated pmf over the integer support 0..support_max.
 
     Supports never exceed ~1,001 points, so a dense array beats any sparse
-    representation for the quadratic/cubic compositions built on top.
-    Instances are immutable; the mass array is marked read-only.
+    representation for the matrix compositions built on top.  Instances are
+    immutable; the mass array is marked read-only.
+
+    Construction checks every entry against [0, 1] and the total against
+    MASS_TOL (raising NormalizationError).  The protocol models chain raw
+    mass arrays through their kernel matrices and build a Pmf only for each
+    phase they emit, so every emitted phase, and every result of a public
+    operator, passes these checks while intermediates skip them.
     """
 
     mass: np.ndarray
@@ -111,7 +120,8 @@ class Pmf:
             return 1.0
         if k > self.support_max:
             return 0.0
-        return float(self.mass[k:].sum())
+        # Renormalized masses can sum past 1 by an ulp.
+        return min(max(float(self.mass[k:].sum()), 0.0), 1.0)
 
     def mean(self) -> float:
         return float(np.arange(len(self.mass)) @ self.mass)
@@ -139,25 +149,88 @@ class Pmf:
         return Pmf(np.asarray(self.mass) / float(self.mass.sum()))
 
 
+# log(t!) for t < 2048, exactly as scipy.special.gammaln(t + 1.0) gives it,
+# so binomial rows reproduce the scipy-based arithmetic bit for bit without
+# importing scipy.special (~25 MB and ~0.3 s per process).  Regenerate with
+# np.save(LOG_FACTORIAL_FILE, scipy.special.gammaln(np.arange(2048) + 1.0)).
+LOG_FACTORIAL_FILE = Path(__file__).with_name("log_factorial.npy")
+
+
+@lru_cache(maxsize=1)
+def _log_factorial_table() -> np.ndarray:
+    table = np.load(LOG_FACTORIAL_FILE)
+    table.flags.writeable = False
+    return table
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """log(t!) for t = 0..size; math.lgamma past the table."""
+    table = _log_factorial_table()
+    if size < len(table):
+        return table[: size + 1]
+    return np.concatenate([table, [math.lgamma(t + 1.0) for t in range(len(table), size + 1)]])
+
+
+def binom_rows(trials, p, width: int | None = None, start: int = 0) -> np.ndarray:
+    """Matrix whose row i is Binomial(trials[i], p[i]) over start..width-1.
+
+    p is one rate or one per row.  Entries past trials[i] are zero; width
+    defaults to max(trials) + 1 and may cut rows short, and start skips the
+    counts below it.  Every row is evaluated in log space from one shared
+    log-factorial table, loaded on first use.  Inputs are not validated:
+    this is the unchecked path under the kernel matrices of the models.
+    """
+    trials = np.asarray(trials, dtype=np.intp)
+    p = np.asarray(p, dtype=float)
+    top = int(trials.max())
+    width = top + 1 if width is None else int(width)
+    k = np.arange(start, width)
+    lg = _log_factorials(max(top, width - 1))
+    # Degenerate rates would put log(0) into the sum; they are point masses,
+    # written over rows evaluated at a harmless stand-in rate.
+    degenerate = (p == 0.0) | (p == 1.0)
+    rate = np.where(degenerate, 0.5, p)
+    if rate.ndim:
+        rate = rate[:, None]
+    below = trials[:, None] - k  # t - k, negative past the row's trials
+    logs = lg[trials][:, None] - lg[k]
+    logs -= lg[np.abs(below)]
+    logs += k * np.log(rate)
+    logs += below * np.log1p(-rate)
+    logs[below < 0] = -np.inf
+    rows = np.exp(logs, out=logs)
+    if degenerate.any():
+        zero, one = np.broadcast_to(p == 0.0, trials.shape), np.broadcast_to(p == 1.0, trials.shape)
+        rows[zero | one] = 0.0
+        if start == 0:
+            rows[zero, 0] = 1.0
+        hit = one & (start <= trials) & (trials < width)
+        rows[hit, trials[hit] - start] = 1.0
+    return rows
+
+
+def binom_ranges(trials, p: float, k_lo: int, k_hi: int) -> np.ndarray:
+    """binom_range vectorised over the trial count: entry i is
+    P(k_lo <= Binomial(trials[i], p) <= k_hi), with binom_range's clamping
+    (exactly 1 for a range covering every count, 0 for k_lo past trials[i])."""
+    trials = np.asarray(trials, dtype=np.intp)
+    if trials.size and int(trials.min()) < 0:
+        raise DomainError("trial counts must be non-negative")
+    if k_lo < 0:
+        raise DomainError(f"k_lo must be non-negative, got {k_lo}")
+    if k_lo > k_hi:
+        raise DomainError(f"empty range [{k_lo}, {k_hi}]")
+    _check_prob(p)
+    rows = binom_rows(trials, p, width=min(k_hi, int(trials.max())) + 1, start=k_lo)
+    out = np.clip(rows.sum(axis=1), 0.0, 1.0)
+    if k_lo == 0:
+        out[trials <= k_hi] = 1.0
+    return out
+
+
 def _binom_masses(n: int, p: float) -> np.ndarray:
     """Vector of B(n, p, k) for k = 0..n, evaluated in log space."""
-    if p == 0.0:
-        mass = np.zeros(n + 1)
-        mass[0] = 1.0
-        return mass
-    if p == 1.0:
-        mass = np.zeros(n + 1)
-        mass[n] = 1.0
-        return mass
-    k = np.arange(n + 1, dtype=float)
-    logs = (
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n - k + 1.0)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return np.exp(logs)
+    return binom_rows([n], p)[0]
 
 
 def binom_pmf(n: int, p: float, k: int) -> float:

@@ -7,6 +7,14 @@ probabilities.  A crash drawn at chain step i removes a process from every
 later phase; within a phase, message deliveries are independent Bernoulli
 trials with success 1 - p_l.
 
+Every step is a dense row-stochastic kernel matrix, built once per
+evaluation, and the step is `prior @ K` on raw mass arrays: binomial rows
+and vectorised quorum rates come from `prob.binom_rows` and
+`prob.binom_ranges`, crash steps use the cached `chain.thinning_matrix`.
+Only the phases a PhaseTrace emits become validated Pmfs.  Where a step
+conditions on two earlier phases (BFT-SMaRt's commit, SBFT's relay), the
+joint law is a matrix and the step is factored per value of one parent.
+
 Quorum thresholds live in per-protocol tables derived from the config; the
 four models differ only in pattern wiring and those thresholds.
 """
@@ -15,22 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .chain import (
-    JointDistribution,
-    bernoulli_convolve,
-    convolve,
-    crash_step,
-    joint_via_kernel,
-    total_probability,
-    total_probability_joint,
+from .chain import crash_step, thin, thinning_matrix
+from .prob import (
+    DomainError,
+    FailureParams,
+    Pmf,
+    _binom_masses,
+    binom_ranges,
+    binom_rows,
+    pmf_binomial,
 )
-from .prob import DomainError, FailureParams, Pmf, binom_range, pmf_binomial
 
 __all__ = [
     "PBFT",
@@ -167,14 +174,15 @@ def _require_protocol(config: ProtocolConfig, expected: str) -> None:
         )
 
 
-def _finalize(phases: list[tuple[str, Pmf]]) -> tuple[tuple[str, Pmf], ...]:
-    # Drift correction happens once, at the end of the full chain; anything
-    # beyond MASS_TOL raised inside Pmf long before we get here.
-    return tuple((name, pmf.renormalized()) for name, pmf in phases)
+def _finalize(phases: list[tuple[str, np.ndarray]]) -> tuple[tuple[str, Pmf], ...]:
+    # The chain runs on raw masses; each emitted phase is validated here
+    # (entry range, and drift beyond MASS_TOL raises NormalizationError)
+    # before the drift is scaled out, once, at the end of the full chain.
+    return tuple((name, Pmf(mass).renormalized()) for name, mass in phases)
 
 
-def _bernoulli(p: float) -> Pmf:
-    return Pmf(np.array([1.0 - p, p]))
+def _bernoulli(p: float) -> np.ndarray:
+    return np.array([1.0 - p, p])
 
 
 def pbft_crash_only(config: ProtocolConfig, p_c: float, exclude_primary: bool = False) -> PhaseTrace:
@@ -191,7 +199,7 @@ def pbft_crash_only(config: ProtocolConfig, p_c: float, exclude_primary: bool = 
     n1 = pmf_binomial(trials, 1.0 - p_c)
     n2 = crash_step(n1, p_c)
     n3 = crash_step(n2, p_c)
-    phases = _finalize([("N1", n1), ("N2", n2), ("N3", n3)])
+    phases = _finalize([("N1", n1.mass), ("N2", n2.mass), ("N3", n3.mass)])
     happy = phases[-1][1].tail(2 * f + 1)
     return PhaseTrace(
         config=config,
@@ -209,49 +217,38 @@ def pbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     the primary-quorum event and is subject to crash draws from then on.
     """
     _require_protocol(config, PBFT)
-    n, f = config.n, config.f
+    n = config.n
     pl, pc = fp.p_l, fp.p_c
     th = config.thresholds()
+    q = 1.0 - pl
+    holders = np.arange(n)  # N_1 counts the n-1 non-primary replicas
 
-    c1 = pmf_binomial(n - 1, 1.0 - pl)
-    n1 = crash_step(c1, pc)
+    c1 = _binom_masses(n - 1, q)
+    n1 = thin(c1, pc)
 
-    def primary_quorum(y: int) -> float:
-        # The primary needs 2f prepares out of the y broadcasters.
-        if y < 2 * f:
-            return 0.0
-        return binom_range(y, 1.0 - pl, th["primary_prepare"], n)
+    # The primary needs 2f prepares out of the y broadcasters; every other
+    # holder needs 2f-1 beyond its own, so neither can succeed for y < 2f.
+    primary = binom_ranges(holders, q, th["primary_prepare"], n)
+    p2 = binom_ranges(np.maximum(holders - 1, 0), q, max(th["prepare_from_others"], 0), n)
+    replicas = binom_rows(holders, p2)
+    # C_2 counts the primary too: convolve each row with its quorum event.
+    prepare = np.zeros((n, n + 1))
+    prepare[:, :-1] = replicas * (1.0 - primary)[:, None]
+    prepare[:, 1:] += replicas * primary[:, None]
+    c2 = n1 @ prepare
+    n2 = thin(c2, pc)
 
-    @cache
-    def prepare_kernel(y: int) -> Pmf:
-        if y < 2 * f:
-            replicas = Pmf.point(0, n - 1)
-        else:
-            p2 = binom_range(max(y - 1, 0), 1.0 - pl, max(th["prepare_from_others"], 0), n)
-            replicas = pmf_binomial(y, p2).padded(n - 1)
-        # C_2 counts the primary too: convolve with its quorum event.
-        return bernoulli_convolve(replicas, primary_quorum(y))
-
-    c2 = total_probability(prepare_kernel, n1)
-    n2 = crash_step(c2, pc)
-
-    @cache
-    def commit_kernel(m: int) -> Pmf:
-        # A node needs 2f commits beyond its own, impossible unless more
-        # than 2f nodes are still broadcasting.
-        if m <= 2 * f:
-            return Pmf.point(0, n)
-        p3 = binom_range(m - 1, 1.0 - pl, th["commit_from_others"], n)
-        return pmf_binomial(m, p3).padded(n)
-
-    c3 = total_probability(commit_kernel, n2)
-    n3 = crash_step(c3, pc)
+    # A node needs 2f commits beyond its own, impossible unless more than
+    # 2f nodes are still broadcasting.
+    senders = np.arange(n + 1)
+    p3 = binom_ranges(np.maximum(senders - 1, 0), q, th["commit_from_others"], n)
+    c3 = n2 @ binom_rows(senders, p3)
+    n3 = thin(c3, pc)
 
     phases = _finalize(
         [("C1", c1), ("N1", n1), ("C2", c2), ("N2", n2), ("C3", c3), ("N3", n3)]
     )
     final = phases[-1][1]
-    cp_prob = float(sum(w * primary_quorum(y) for y, w in enumerate(n1.mass) if w > 0.0))
     return PhaseTrace(
         config=config,
         failures=fp,
@@ -260,7 +257,7 @@ def pbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
             "happy": final.tail(th["happy"]),
             "liveness": final.tail(th["liveness"]),
         },
-        primary_quorum_prob=cp_prob,
+        primary_quorum_prob=float(n1 @ primary),
     )
 
 
@@ -274,39 +271,40 @@ def smart_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     phase condition jointly on (N_1, N_2).
     """
     _require_protocol(config, BFT_SMART)
-    n, f = config.n, config.f
+    n = config.n
     pl, pc = fp.p_l, fp.p_c
     th = config.thresholds()
+    q = 1.0 - pl
+    counts = np.arange(n + 1)
 
-    c1 = pmf_binomial(n - 1, 1.0 - pl)
-    n1 = crash_step(c1, pc)
+    c1 = _binom_masses(n - 1, q)
+    n1 = thin(c1, pc)
 
-    @cache
-    def write_kernel(y: int) -> Pmf:
-        # y broadcast holders plus the primary all collect from y writers.
-        p2 = binom_range(y, 1.0 - pl, th["write_from_others"], n)
-        return pmf_binomial(y + 1, p2).padded(n)
+    # y broadcast holders plus the primary all collect from y writers.
+    p2 = binom_ranges(counts[:n], q, th["write_from_others"], n)
+    write = binom_rows(counts[:n] + 1, p2)
+    c2 = n1 @ write
+    joint = n1[:, None] * thin(write, pc)  # P(N1 = y, N2 = m)
+    n2 = joint.sum(axis=0)
 
-    @cache
-    def survivors_kernel(y: int) -> Pmf:
-        return crash_step(write_kernel(y), pc)
-
-    joint = joint_via_kernel(n1, survivors_kernel)  # (N1, N2)
-    c2 = total_probability(write_kernel, n1)
-    n2 = joint.marginal_z()
-
-    @cache
-    def commit_kernel(y: int, m: int) -> Pmf:
-        # m commit broadcasters; the other y+1-m candidates may skip the
-        # write quorum by collecting 2f+1 full commits.
-        p_member = binom_range(max(m - 1, 0), 1.0 - pl, th["commit_from_others"], n)
-        p_skip = binom_range(m, 1.0 - pl, th["commit_skip"], n)
-        members = pmf_binomial(m, p_member)
-        skippers = pmf_binomial(y + 1 - m, p_skip)
-        return convolve(members, skippers).padded(n)
-
-    c3 = total_probability_joint(commit_kernel, joint)
-    n3 = crash_step(c3, pc)
+    # m commit broadcasters each finish with p_member(m); the other y+1-m
+    # candidates may skip the write quorum by collecting 2f+1 full commits.
+    p_member = binom_ranges(np.maximum(counts - 1, 0), q, th["commit_from_others"], n)
+    p_skip = binom_ranges(counts, q, th["commit_skip"], n)
+    members = binom_rows(counts, p_member)
+    # Where p_skip(m) = 0 nobody skips, so C_3 mixes the member rows over
+    # N_2 alone.  Elsewhere the y+1-m candidates have the law of column m of
+    # the joint shifted by 1-m, and each finishes with p_skip(m): thin that
+    # law (unless p_skip is exactly 1) and add the members by convolution.
+    # p_skip(0) = 0, so m >= 1 in the loop.
+    dead = p_skip == 0.0
+    c3 = np.where(dead, n2, 0.0) @ members
+    for m in np.flatnonzero(~dead):
+        skippers = joint[m - 1:, m]
+        if p_skip[m] < 1.0:
+            skippers = skippers @ binom_rows(np.arange(len(skippers)), p_skip[m])
+        c3 += np.convolve(members[m, : m + 1], skippers)
+    n3 = thin(c3, pc)
 
     phases = _finalize(
         [("C1", c1), ("N1", n1), ("C2", c2), ("N2", n2), ("C3", c3), ("N3", n3)]
@@ -332,31 +330,19 @@ def zyzzyva_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     certificate broadcast, ack collection), with the same p_c as replicas.
     """
     _require_protocol(config, ZYZZYVA)
-    n, f = config.n, config.f
+    n = config.n
     pl, pc = fp.p_l, fp.p_c
     th = config.thresholds()
+    q = 1.0 - pl
     client_up = 1.0 - pc
+    counts = np.arange(n + 1)
 
-    c1 = pmf_binomial(n - 1, 1.0 - pl).shifted(1).padded(n)
-    n1 = crash_step(c1, pc)
+    c1 = np.concatenate([[0.0], _binom_masses(n - 1, q)])
+    n1 = thin(c1, pc)
 
-    fast_quorum = float(
-        sum(
-            w * binom_range(y, 1.0 - pl, th["fast_quorum"], n)
-            for y, w in enumerate(n1.mass)
-            if w > 0.0
-        )
-    )
-    if th["slow_quorum_lo"] <= th["slow_quorum_hi"]:
-        slow_branch = float(
-            sum(
-                w * binom_range(y, 1.0 - pl, th["slow_quorum_lo"], th["slow_quorum_hi"])
-                for y, w in enumerate(n1.mass)
-                if w > 0.0
-            )
-        )
-    else:
-        slow_branch = 0.0
+    fast_quorum = float(n1 @ binom_ranges(counts, q, th["fast_quorum"], n))
+    lo, hi = th["slow_quorum_lo"], th["slow_quorum_hi"]
+    slow_branch = float(n1 @ binom_ranges(counts, q, lo, hi)) if lo <= hi else 0.0
 
     fast = client_up * fast_quorum
     c2_fast = _bernoulli(fast)
@@ -364,18 +350,11 @@ def zyzzyva_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
 
     # Certificate broadcast: the client must also survive the send phase.
     cert = client_up * slow_branch * client_up
-    c3_mass = cert * pmf_binomial(n, 1.0 - pl).mass
-    c3_mass[0] += 1.0 - cert
-    c3 = Pmf(c3_mass)
-    n3 = crash_step(c3, pc)
+    c3 = cert * _binom_masses(n, q)
+    c3[0] += 1.0 - cert
+    n3 = thin(c3, pc)
 
-    ack = float(
-        sum(
-            w * binom_range(m, 1.0 - pl, th["ack_quorum"], n)
-            for m, w in enumerate(n3.mass)
-            if w > 0.0
-        )
-    )
+    ack = float(n3 @ binom_ranges(counts, q, th["ack_quorum"], n))
     slow = ack * client_up
     c4 = _bernoulli(slow)
 
@@ -398,15 +377,6 @@ def zyzzyva_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     )
 
 
-def _spread_kernel(holders: int, receivers: int, pl: float, support_max: int) -> Pmf:
-    """Collector rebroadcast: holders keep the certificate, each of the
-    receivers gets it unless all `holders` copies are dropped."""
-    if holders == 0:
-        return Pmf.point(0, support_max)
-    reach = 1.0 - pl**holders
-    return pmf_binomial(receivers, reach).shifted(holders).padded(support_max)
-
-
 def sbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     """SBFT six-phase chain with c+1 collectors and fast/slow paths.
 
@@ -418,129 +388,87 @@ def sbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     conditions jointly on (N_1, N_4).
     """
     _require_protocol(config, SBFT)
-    n, f, c = config.n, config.f, config.c
+    n = config.n
     pl, pc = fp.p_l, fp.p_c
     th = config.thresholds()
     m = th["collectors"]
+    q = 1.0 - pl
+    counts = np.arange(n + 1)
 
-    c1 = pmf_binomial(n - 1, 1.0 - pl).shifted(1).padded(n)
-    n1 = crash_step(c1, pc)
+    c1 = np.concatenate([[0.0], _binom_masses(n - 1, q)])
+    n1 = thin(c1, pc)
 
-    def collector_count(p_each: float) -> Pmf:
-        return pmf_binomial(m, p_each).padded(m)
+    def collectors(p_each: np.ndarray) -> np.ndarray:
+        """Row y: Binomial(m, p_each[y]) collectors succeed."""
+        return binom_rows(np.full(len(p_each), m), p_each)
 
-    def fast_share_p(y: int) -> float:
-        return binom_range(y, 1.0 - pl, th["fast_quorum"], n)
+    pf = binom_ranges(counts, q, th["fast_quorum"], n)
+    lo, hi = th["slow_quorum_lo"], th["slow_quorum_hi"]
+    ps = binom_ranges(counts, q, lo, hi) if lo <= hi else np.zeros(n + 1)
+    pn = np.maximum(1.0 - pf - ps, 0.0)
 
-    def slow_share_p(y: int) -> float:
-        lo, hi = th["slow_quorum_lo"], th["slow_quorum_hi"]
-        return binom_range(y, 1.0 - pl, lo, hi) if lo <= hi else 0.0
-
-    @cache
-    def rebroadcast_kernel(j: int) -> Pmf:
-        return _spread_kernel(j, n - j, pl, n)
-
-    @cache
-    def fast_exec_kernel(y: int) -> Pmf:
-        return collector_count(binom_range(y, 1.0 - pl, th["fast_exec"], n))
+    # Collector rebroadcast from j holders: they keep the certificate, and
+    # each of the other n-j replicas gets it unless all j copies drop.
+    holders = np.arange(m + 1)
+    spread = binom_rows(n - holders, 1.0 - pl**holders)
+    rebroadcast = np.zeros((m + 1, n + 1))
+    for j in holders:
+        rebroadcast[j, j:] = spread[j, : n + 1 - j]
+    fast_exec = collectors(binom_ranges(counts, q, th["fast_exec"], n))
+    slow_commit = collectors(binom_ranges(counts, q, th["slow_commit"], n))
+    # A collector's own reply is free: f more from the other z-1.
+    slow_exec = collectors(
+        binom_ranges(np.maximum(counts - 1, 0), q, th["slow_exec_from_others"], n)
+    )
+    slow_exec[0] = 0.0
+    slow_exec[0, 0] = 1.0
+    # Row k: C_3 of either chain given k collectors at C_2.
+    c3_from = thinning_matrix(m, pc) @ rebroadcast
 
     # Fast chain: shares -> rebroadcast -> execution acks.
-    c2f = total_probability(lambda y: collector_count(fast_share_p(y)), n1)
-    n2f = crash_step(c2f, pc)
-    c3f = total_probability(rebroadcast_kernel, n2f)
-    n3f = crash_step(c3f, pc)
-    c4f = total_probability(fast_exec_kernel, n3f)
-    fast = 1.0 - c4f.prob(0)
+    c2f = n1 @ collectors(pf)
+    n2f = thin(c2f, pc)
+    c3f = n2f @ rebroadcast
+    n3f = thin(c3f, pc)
+    c4f = n3f @ fast_exec
+    fast_from = thin(c3_from, pc) @ fast_exec  # row k: C_4_fast given k
 
-    @cache
-    def fast_completion(k: int) -> float:
-        """P(any collector finishes the fast chain | k fast-quorum collectors)."""
-        n2 = crash_step(Pmf.point(k, m), pc)
-        c3 = total_probability(rebroadcast_kernel, n2)
-        n3 = crash_step(c3, pc)
-        c4 = total_probability(fast_exec_kernel, n3)
-        return 1.0 - c4.prob(0)
+    # Slow chain.  Its first stages do not depend on the order-holder count
+    # y; the fifth-phase relay reaches only the y - j remaining holders, so
+    # it is mixed per relay count j over the joint law of (N_1, N_4).
+    start = collectors(ps)  # row y: slow-quorum collector count
+    c2s = n1 @ start
+    n2s = thin(c2s, pc)
+    c3s = n2s @ rebroadcast
+    n3s = thin(c3s, pc)
+    c4s = n3s @ slow_commit
+    n4s = thin(c4s, pc)
+    n4_from = thin(thin(c3_from, pc) @ slow_commit, pc)  # row k: N_4_slow given k
+    joint = n1[:, None] * (start @ n4_from)  # P(N1 = y, N4_slow = j)
+    # Row x: P(some collector executes), P(none does), given C_5 = x.
+    outcomes = np.stack([slow_exec[:, 1:].sum(axis=1), slow_exec[:, 0]], axis=1)
+    exec_given = thinning_matrix(n, pc) @ outcomes
+    c5 = np.zeros(n + 1)
+    relay_given = np.empty((n + 1, m + 1, 2))  # [y, j, outcome]
+    for j in holders:
+        relay = binom_rows(np.arange(n - j + 1), 1.0 - pl**j)  # row r: r receivers
+        receivers = np.maximum(counts - j, 0)
+        c5[j:] += np.bincount(receivers, weights=joint[:, j], minlength=n - j + 1) @ relay
+        relay_given[:, j] = (relay @ exec_given[j:])[receivers]
+    n5 = thin(c5, pc)
+    c6 = n5 @ slow_exec
+    slow_given = np.einsum("kj,yjo->yko", n4_from, relay_given)  # [y, k, outcome]
+    slow = float(n1 @ (start * slow_given[:, :, 0]).sum(axis=1))
 
-    # Slow chain, conditioned on the order-holder count y throughout: the
-    # fifth-phase relay reaches only the remaining holders, so the chain is
-    # pushed per starting collector count k and mixed afterwards.
-    @cache
-    def slow_commit_kernel(y: int) -> Pmf:
-        return collector_count(binom_range(y, 1.0 - pl, th["slow_commit"], n))
-
-    @cache
-    def relay_kernel(y: int, j: int) -> Pmf:
-        # Fifth phase reaches only the remaining order holders.
-        return _spread_kernel(j, max(y - j, 0), pl, n)
-
-    @cache
-    def slow_exec_kernel(z: int) -> Pmf:
-        if z == 0:
-            return Pmf.point(0, m)
-        # A collector's own reply is free: f more from the other z-1.
-        p_each = binom_range(z - 1, 1.0 - pl, th["slow_exec_from_others"], n)
-        return collector_count(p_each)
-
-    @cache
-    def slow_stages(y: int, k: int) -> tuple[Pmf, ...]:
-        """Slow-chain stage distributions given N1=y and k slow collectors."""
-        n2 = crash_step(Pmf.point(k, m), pc)
-        c3 = total_probability(rebroadcast_kernel, n2)
-        n3 = crash_step(c3, pc)
-        c4 = total_probability(slow_commit_kernel, n3)
-        n4 = crash_step(c4, pc)
-        c5 = total_probability(lambda j: relay_kernel(y, j), n4)
-        n5 = crash_step(c5, pc)
-        c6 = total_probability(slow_exec_kernel, n5)
-        return n2, c3, n3, c4, n4, c5, n5, c6
-
-    accs = {
-        "C2_slow": np.zeros(m + 1), "N2_slow": np.zeros(m + 1),
-        "C3_slow": np.zeros(n + 1), "N3_slow": np.zeros(n + 1),
-        "C4_slow": np.zeros(m + 1), "N4_slow": np.zeros(m + 1),
-        "C5": np.zeros(n + 1), "N5": np.zeros(n + 1), "C6": np.zeros(m + 1),
-    }
-    slow = 0.0
-    no_path = 0.0  # P(neither chain completes)
-    for y, weight in enumerate(n1.mass):
-        if weight == 0.0:
-            continue
-        pf = fast_share_p(y)
-        ps = slow_share_p(y)
-        pn = max(1.0 - pf - ps, 0.0)
-        start = pmf_binomial(m, ps).mass  # slow-quorum collector count
-        accs["C2_slow"] += weight * start
-        dead = 0.0
-        for k in range(m + 1):
-            wk = start[k]
-            if wk == 0.0:
-                continue
-            n2, c3, n3, c4, n4, c5, n5, c6 = slow_stages(y, k)
-            accs["N2_slow"] += weight * wk * n2.mass
-            accs["C3_slow"] += weight * wk * c3.mass
-            accs["N3_slow"] += weight * wk * n3.mass
-            accs["C4_slow"] += weight * wk * c4.mass
-            accs["N4_slow"] += weight * wk * n4.mass
-            accs["C5"] += weight * wk * c5.mass
-            accs["N5"] += weight * wk * n5.mass
-            accs["C6"] += weight * wk * c6.mass
-            slow += weight * wk * (1.0 - c6.prob(0))
-        # Exact P(no path | y): the phase-two branches split the collectors
-        # three ways (fast / slow / neither); downstream the two chains are
-        # independent given those counts.
-        for kf in range(m + 1):
-            for ks in range(m - kf + 1):
-                rest = m - kf - ks
-                prob = (
-                    math.comb(m, kf) * math.comb(m - kf, ks)
-                    * pf**kf * ps**ks * pn**rest
-                )
-                if prob == 0.0:
-                    continue
-                slow_done = (1.0 - slow_stages(y, ks)[7].prob(0)) if ks else 0.0
-                dead += prob * (1.0 - fast_completion(kf)) * (1.0 - slow_done)
-        no_path += weight * dead
-    combined = 1.0 - no_path
+    # Exact P(no path | y): the phase-two branches split the collectors
+    # three ways (fast / slow / neither); downstream the two chains are
+    # independent given those counts.
+    dead = np.zeros(n + 1)
+    for kf in range(m + 1):
+        for ks in range(m - kf + 1):
+            split = math.comb(m, kf) * math.comb(m - kf, ks) * pf**kf * ps**ks * pn ** (m - kf - ks)
+            dead += split * fast_from[kf, 0] * slow_given[:, ks, 1]
+    combined = 1.0 - float(n1 @ dead)
 
     phases = _finalize(
         [
@@ -551,14 +479,25 @@ def sbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
             ("C3_fast", c3f),
             ("N3_fast", n3f),
             ("C4_fast", c4f),
+            ("C2_slow", c2s),
+            ("N2_slow", n2s),
+            ("C3_slow", c3s),
+            ("N3_slow", n3s),
+            ("C4_slow", c4s),
+            ("N4_slow", n4s),
+            ("C5", c5),
+            ("N5", n5),
+            ("C6", c6),
         ]
-        + [(name, Pmf(acc)) for name, acc in accs.items()]
     )
+    # Path probabilities are tails summed from the small side, so rare
+    # events at large n are not lost to cancellation in 1 - P(0).
+    fast = dict(phases)["C4_fast"].tail(1)
     return PhaseTrace(
         config=config,
         failures=fp,
         phases=phases,
-        path_success={"fast": float(fast), "slow": float(slow), "combined": float(combined)},
+        path_success={"fast": fast, "slow": slow, "combined": combined},
     )
 
 

@@ -19,6 +19,7 @@ from bftprob import (
     total_probability,
     total_probability_joint,
 )
+from bftprob.chain import thinning_matrix
 
 
 class TestCrashStep:
@@ -50,6 +51,15 @@ class TestCrashStep:
     def test_invalid_rate(self):
         with pytest.raises(DomainError):
             crash_step(Pmf.point(1, 1), 1.5)
+
+    def test_thinning_matrix_shared_read_only(self):
+        mat = thinning_matrix(6, 0.2)
+        assert thinning_matrix(6, 0.2) is mat
+        assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-14)
+        assert np.all(np.triu(mat, 1) == 0.0)
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.5
+        assert thinning_matrix.cache_info().maxsize is not None
 
     def test_stochastic_monotonicity(self):
         # Raising the crash rate never raises any survival tail.

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from bftprob import (
@@ -18,6 +19,7 @@ from bftprob import (
     normal_quantile,
     pmf_binomial,
 )
+from bftprob.prob import LOG_FACTORIAL_FILE, MASS_TOL, binom_ranges, binom_rows
 
 
 def exact_binom(n: int, p: Fraction, k: int) -> Fraction:
@@ -117,6 +119,83 @@ class TestBinomRange:
             binom_range(-2, 0.5, 0, 1)
 
 
+def test_log_factorial_table_is_scipy_gammaln():
+    # The binomial grid must reproduce scipy's log-gamma bit for bit.
+    table = np.load(LOG_FACTORIAL_FILE)
+    assert len(table) == 2048
+    assert np.array_equal(table, scipy.special.gammaln(np.arange(len(table)) + 1.0))
+
+
+class TestBinomRows:
+    def test_rows_match_scalar(self):
+        trials = np.array([0, 3, 7, 30, 200])
+        rates = np.array([0.4, 0.05, 0.5, 0.91, 0.37])
+        rows = binom_rows(trials, rates)
+        assert rows.shape == (5, 201)
+        for row, n, p in zip(rows, trials, rates):
+            for k in range(201):
+                expected = binom_pmf(int(n), float(p), k) if k <= n else 0.0
+                assert row[k] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    def test_shared_rate_and_width(self):
+        rows = binom_rows(np.arange(6), 0.3, width=3)
+        assert rows.shape == (6, 3)
+        expected = [binom_pmf(5, 0.3, k) for k in range(3)]
+        assert rows[5].tolist() == pytest.approx(expected, rel=1e-12)
+
+    def test_start_skips_low_counts(self):
+        trials = np.array([0, 2, 5, 9])
+        for p in (np.array([0.0, 1.0, 0.3, 1.0]), 0.7):
+            full = binom_rows(trials, p, width=8)
+            assert np.array_equal(binom_rows(trials, p, width=8, start=3), full[:, 3:])
+
+    def test_degenerate_rates_are_point_masses(self):
+        rows = binom_rows(np.array([2, 3, 3, 4]), np.array([0.0, 1.0, 0.5, 1.0]), width=4)
+        assert rows[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert rows[1].tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert rows[3].tolist() == [0.0, 0.0, 0.0, 0.0]  # the mass at 4 is cut off
+        assert np.all(np.isfinite(rows))
+
+    def test_beyond_log_factorial_table(self):
+        # Log-space terms near log(3000!) ~ 2e4 carry ~1e-12 relative error.
+        row = binom_rows([3000], 0.5)[0]
+        assert row[1500] == pytest.approx(binom_pmf(3000, 0.5, 1500), rel=1e-9)
+        assert float(row.sum()) == pytest.approx(1.0, abs=MASS_TOL)
+
+    def test_large_n_no_underflow(self):
+        row = binom_rows([1000], 0.9)[0]
+        assert row[900] == pytest.approx(binom_pmf(1000, 0.9, 900), rel=1e-10)
+        assert float(row.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBinomRanges:
+    @pytest.mark.parametrize("k_lo,k_hi", [(0, 5), (0, 100), (2, 4), (3, 100), (9, 100), (70, 90)])
+    @pytest.mark.parametrize("p", [0.0, 0.12, 0.5, 0.95, 1.0])
+    def test_matches_scalar(self, k_lo, k_hi, p):
+        # binom_range stays the per-count reference for the vector form.
+        trials = np.arange(121)
+        got = binom_ranges(trials, p, k_lo, k_hi)
+        for t in trials:
+            expected = binom_range(int(t), p, k_lo, k_hi)
+            assert got[t] == pytest.approx(expected, rel=1e-13, abs=1e-16)
+            if expected in (0.0, 1.0):
+                assert got[t] == expected
+
+    def test_never_exceeds_one(self):
+        got = binom_ranges(np.arange(1, 400), 0.88, 1, 400)
+        assert np.all((0.0 <= got) & (got <= 1.0))
+
+    def test_errors(self):
+        with pytest.raises(DomainError):
+            binom_ranges(np.arange(4), 0.5, 3, 2)
+        with pytest.raises(DomainError):
+            binom_ranges(np.arange(4), 0.5, -1, 2)
+        with pytest.raises(DomainError):
+            binom_ranges(np.array([-2, 1]), 0.5, 0, 1)
+        with pytest.raises(DomainError):
+            binom_ranges(np.arange(4), 1.5, 0, 1)
+
+
 class TestPmfBinomial:
     def test_point_masses(self):
         assert pmf_binomial(3, 0.0).mass.tolist() == [1.0, 0.0, 0.0, 0.0]
@@ -183,6 +262,11 @@ class TestPmfType:
         assert pmf.tail(2) == 1.0
         assert pmf.tail(3) == 0.0
         assert pmf.mean() == 2.0
+
+    def test_tail_clamped_to_unit_interval(self):
+        # A tail of masses that sum past 1 within MASS_TOL reads as 1.
+        pmf = Pmf(np.array([0.0, 0.6, 0.4 + 1e-10]))
+        assert pmf.tail(1) == 1.0
 
     def test_padded_and_shifted(self):
         pmf = Pmf(np.array([0.5, 0.5]))

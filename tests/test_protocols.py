@@ -18,6 +18,7 @@ from bftprob import (
     success_probability,
     zyzzyva_model,
 )
+from bftprob.chain import thinning_matrix
 
 
 class TestProtocolConfig:
@@ -99,6 +100,13 @@ class TestPbftModel:
             got = trace.phase(name).mass
             assert np.allclose(got, exp[: len(got)], atol=1e-12), name
             assert np.allclose(exp[len(got):], 0.0, atol=0)
+
+    def test_tail_clamped_at_one(self):
+        # Tails of renormalized masses used to overshoot by an ulp here
+        # (liveness 1.0000000000000002).
+        trace = pbft_model(ProtocolConfig("pbft", 100, 33), FailureParams(1e-9, 0.03))
+        for value in trace.path_success.values():
+            assert 0.0 <= value <= 1.0
 
     def test_liveness_weaker_than_happy(self):
         trace = pbft_model(ProtocolConfig("pbft", 10, 3), FailureParams(0.15, 0.1))
@@ -214,6 +222,50 @@ class TestSbftModel:
         trace = sbft_model(ProtocolConfig("sbft", 9, 2, 1), FailureParams(0.15, 0.1))
         for name, pmf in trace.phases:
             assert float(pmf.mass.sum()) == pytest.approx(1.0, abs=1e-9), name
+
+
+def _max_config(protocol: str, n: int) -> ProtocolConfig:
+    """Largest fault budget for n; SBFT with c=0, so n = 3f+1 exactly."""
+    return ProtocolConfig(protocol, n, (n - 1) // 3, 0)
+
+
+class TestSbftFastBound:
+    # At c=0 SBFT's fast path needs Zyzzyva's fast quorum (3f+1 of the same
+    # N_1 holders) and then more, while Zyzzyva also pays one client crash
+    # draw: fast_sbft <= fast_zyzzyva / (1 - p_c).  A fast path computed as
+    # 1 - P(0) breaks this at large n with cancellation noise.
+    @pytest.mark.parametrize("n", [4, 7, 31, 100, 301, 601])
+    def test_below_zyzzyva(self, n):
+        for pl in (0.01, 0.05, 0.2):
+            for pc in (0.0, 0.01, 0.1):
+                fp = FailureParams(pl, pc)
+                sbft = sbft_model(_max_config("sbft", n), fp).path_success["fast"]
+                zyz = zyzzyva_model(_max_config("zyzzyva", n), fp).path_success["fast"]
+                assert sbft <= zyz / (1.0 - pc) * (1.0 + 1e-12), (pl, pc, sbft, zyz)
+
+
+class TestLargeN:
+    """The documented domain reaches ~1,000 replicas."""
+
+    @pytest.mark.parametrize("n", [601, 1000])
+    def test_all_models(self, n):
+        fp = FailureParams(0.05, 0.01)
+        traces = {}
+        for protocol in ("pbft", "bft-smart", "zyzzyva", "sbft"):
+            # Each emitted phase passes the MASS_TOL check or this raises.
+            traces[protocol] = model_trace(_max_config(protocol, n), fp)
+            for path, value in traces[protocol].path_success.items():
+                assert 0.0 <= value <= 1.0, (protocol, path, value)
+        bound = traces["zyzzyva"].path_success["fast"] / (1.0 - fp.p_c)
+        assert traces["sbft"].path_success["fast"] <= bound * (1.0 + 1e-12)
+
+    def test_sbft_builds_each_thinning_matrix_once(self):
+        thinning_matrix.cache_clear()
+        sbft_model(_max_config("sbft", 301), FailureParams(0.05, 0.01))
+        info = thinning_matrix.cache_info()
+        # Supports 0..n and 0..c+1, one p_c: two builds, every other use a hit.
+        assert info.misses == info.currsize == 2
+        assert info.hits > 0
 
 
 class TestSuccessProbability:
