@@ -15,8 +15,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -235,24 +238,47 @@ def _sim_config(args, parser) -> SimConfig:
     return SimConfig(cfg, FailureParams(args.pl, args.pc), args.requests, args.seed)
 
 
-def _cmd_simulate(args, parser) -> int:
-    sim = _sim_config(args, parser)
-    record_rows: list[list[str]] = []
+def _record_writer(log):
+    """Record sink that appends each chunk's per-replica rows to `log`.
+
+    Everything in a row after "request,replica," depends only on (phase,
+    crash step, path), so each chunk formats those suffixes once and looks
+    them up by code.
+    """
 
     def sink(start: int, res, valid: int) -> None:
-        for i in range(valid):
-            rid = start + i
-            path = PATH_NAMES[int(res.path[i])]
-            for replica in range(res.highest.shape[1]):
-                crash = int(res.crash[i, replica])
-                record_rows.append([
-                    str(rid), str(replica),
-                    res.phase_names[int(res.highest[i, replica])],
-                    str(crash) if crash >= 0 else "",
-                    path,
-                ])
+        highest, crash, path = res.highest[:valid], res.crash[:valid], res.path[:valid]
+        steps = int(crash.max(initial=-1)) + 2  # crash steps -1 (none) .. max
+        table = [f"{phase},{step if step >= 0 else ''},{name}\n"
+                 for phase in res.phase_names for step in range(-1, steps - 1)
+                 for name in PATH_NAMES]
+        codes = (highest.astype(np.int64) * steps + crash + 1) * len(PATH_NAMES) + path[:, None]
+        log.write("".join([
+            f"{rid},{replica},{table[code]}"
+            for rid, row in enumerate(codes.tolist(), start)
+            for replica, code in enumerate(row)
+        ]))
 
-    stats = run_campaign(sim, record_sink=sink if args.record else None)
+    return sink
+
+
+def _cmd_simulate(args, parser) -> int:
+    sim = _sim_config(args, parser)
+    if args.record:
+        # Rows stream into a scratch file beside the log, which replaces the
+        # log only once the campaign completes: a failed run leaves no
+        # partial log and leaves any earlier log and manifest as they were.
+        partial = f"{args.record}.{os.getpid()}.partial"
+        try:
+            with open(partial, "w") as log:
+                log.write("request_id,replica,phase_reached,crash_phase,path\n")
+                stats = run_campaign(sim, record_sink=_record_writer(log))
+            os.replace(partial, args.record)
+        finally:
+            if os.path.exists(partial):
+                os.remove(partial)
+    else:
+        stats = run_campaign(sim)
     for name in sorted(stats.success):
         lo, hi = stats.success_ci[name]
         print(f"success {name}={_fmt(stats.success[name])} ci=({_fmt(lo)},{_fmt(hi)})")
@@ -277,8 +303,6 @@ def _cmd_simulate(args, parser) -> int:
         _write_text(args.output, _csv(rows))
         _write_manifest(args.output, "simulate", base_params)
     if args.record:
-        rows = [["request_id", "replica", "phase_reached", "crash_phase", "path"]] + record_rows
-        _write_text(args.record, _csv(rows))
         _write_manifest(args.record, "simulate-record", base_params)
     return EXIT_OK
 

@@ -9,19 +9,32 @@ messages and the pre-prepare count where the protocol says they do).
 
 Determinism: requests are simulated in fixed-size chunks; each chunk draws
 from a Philox stream keyed by blake2b(seed, chunk index), and every chunk
-consumes a fixed, canonical layout of uniforms (maximal message rectangles,
-masked afterwards).  Results are therefore bit-identical regardless of
-evaluation order, thread count, or which subset of requests is inspected.
+consumes a fixed, canonical layout of uniforms: one CHUNK x row-shape array
+per step (maximal message rectangles, masked afterwards), laid end to end.
+A chunk is evaluated in request blocks.  Philox is counter-based, so each
+block seeks exactly to its slice of every array and draws only that slice;
+blocks run on a thread pool and are joined in request order.  Results are
+therefore bit-identical regardless of block size, worker count, evaluation
+order, or which subset of requests is inspected.
+
+Memory: with D draws per request (2n^2 + 3n - 2 for PBFT, 2n^2 + 4n - 2
+for BFT-SMaRt, 6n + 2 for Zyzzyva, 7nm + 5n + 2m - 1 for SBFT with
+m = c + 1 collectors), a block holds b requests, b the largest power of two
+in [4, CHUNK] with b * D <= 2**18.  A worker's draws take 8 * b * D bytes:
+at most 2 MB while D <= 2**16, and 32 * D bytes beyond (64 n^2 bytes for
+PBFT), plus one byte per draw of the block's largest array for masks.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
+import math
+import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -35,6 +48,9 @@ from .protocols import (
     ProtocolConfig,
     model_trace,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 __all__ = [
     "CHUNK",
@@ -138,21 +154,43 @@ class ModelCheck:
     coverage: float
 
 
-def _chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
+def _chunk_key(seed: int, chunk_index: int) -> np.ndarray:
     packed = struct.pack("<QQ", seed & 0xFFFFFFFFFFFFFFFF, chunk_index)
     digest = hashlib.blake2b(packed, digest_size=16).digest()
-    key = np.frombuffer(digest, dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.frombuffer(digest, dtype=np.uint64)
 
 
-def _mask_self(delivered: np.ndarray, sender_offset: int) -> None:
-    # delivered has shape (G, senders, n); sender s is replica s+offset.
-    for s in range(delivered.shape[1]):
-        delivered[:, s, s + sender_offset] = False
+def _cut(p: float) -> np.uint64:
+    """Integer cut on 53-bit draws: k >= _cut(p) exactly when k * 2**-53 >= p.
+
+    Generator.random returns (x >> 11) * 2**-53 for each 64-bit Philox
+    output x, and p * 2**53 is exact, so comparing the integers k = x >> 11
+    with ceil(p * 2**53) decides every link and crash draw as the floats do.
+    """
+    return np.uint64(math.ceil(p * 2.0**53))
+
+
+def _received(u: np.ndarray, senders: np.ndarray, cut: np.uint64,
+              self_offset: int | None = None) -> np.ndarray:
+    """Messages each receiver gets from the live senders.
+
+    u (G, S, R) holds the link draws and senders (G, S) marks who sends;
+    s -> r is delivered when u[:, s, r] >= cut.  With self_offset, sender s
+    is receiver s + self_offset and its message to itself does not count.
+    The count is one batched product of the sender mask with the delivery
+    bytes, accumulated in the narrowest integer that cannot wrap.
+    """
+    g, s_count, r_count = u.shape
+    delivered = u >= cut
+    if self_offset is not None:
+        # Flat index of (s, s + self_offset) is s * (R + 1) + self_offset.
+        delivered.reshape(g, -1)[:, self_offset :: r_count + 1] = False
+    weights = senders.astype(np.uint8 if s_count < 256 else np.uint16)
+    return np.matmul(weights[:, None, :], delivered.view(np.uint8))[:, 0]
 
 
 class _ChunkResult:
-    """Raw per-request arrays for one chunk."""
+    """Raw per-request arrays for a run of consecutive requests of one chunk."""
 
     def __init__(
         self,
@@ -171,6 +209,23 @@ class _ChunkResult:
         self.highest = highest
         self.crash = crash
         self.phase_names = phase_names
+
+
+def _join(parts: list[_ChunkResult]) -> _ChunkResult:
+    """Concatenate the results of consecutive blocks, in order."""
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    detail = first.highest is not None
+    return _ChunkResult(
+        {name: np.concatenate([p.values[name] for p in parts]) for name in first.values},
+        first.final_name,
+        {name: np.concatenate([p.success[name] for p in parts]) for name in first.success},
+        np.concatenate([p.path for p in parts]),
+        np.concatenate([p.highest for p in parts]) if detail else None,
+        np.concatenate([p.crash for p in parts]) if detail else None,
+        first.phase_names,
+    )
 
 
 def _detail_from_sets(
@@ -192,35 +247,38 @@ def _detail_from_sets(
     return highest, crash
 
 
-def _pbft_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generator,
-                g: int, detail: bool) -> _ChunkResult:
-    n, f = cfg.n, cfg.f
-    pl, pc = fp.p_l, fp.p_c
-    th = cfg.thresholds()
+# Each protocol has a draw layout, listing the per-request shape of every
+# uniform array in the order the chunk stream lays them out, and a block
+# sampler that maps one block's arrays (each of shape (G, *row shape)) to
+# outcomes.  Block samplers see 53-bit integer draws and the cuts
+# pl = _cut(p_l) and pc = _cut(p_c): `u >= pl` is a delivered message,
+# `u < pc` a crash.
+_Layout = tuple[tuple[int, ...], ...]
 
-    u_pp = rng.random((g, n - 1))
-    u_cr1 = rng.random((g, n - 1))
-    u_prep = rng.random((g, n - 1, n))
-    u_cr2 = rng.random((g, n))
-    u_com = rng.random((g, n, n))
-    u_cr3 = rng.random((g, n))
+
+def _pbft_draws(cfg: ProtocolConfig) -> _Layout:
+    n = cfg.n
+    return ((n - 1,), (n - 1,), (n - 1, n), (n,), (n, n), (n,))
+
+
+def _pbft_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
+                u: list[np.ndarray], detail: bool) -> _ChunkResult:
+    th = cfg.thresholds()
+    u_pp, u_cr1, u_prep, u_cr2, u_com, u_cr3 = u
+    g = len(u_pp)
 
     got_pp = u_pp >= pl  # replicas 1..n-1
     cr1 = u_cr1 < pc
     n1 = got_pp & ~cr1
 
-    delivered = n1[:, :, None] & (u_prep >= pl)
-    _mask_self(delivered, sender_offset=1)
-    cnt = delivered.sum(axis=1)
+    cnt = _received(u_prep, n1, pl, self_offset=1)
     c2_repl = n1 & (cnt[:, 1:] >= max(th["prepare_from_others"], 0))
     cp = cnt[:, 0] >= th["primary_prepare"]
     c2 = np.concatenate([cp[:, None], c2_repl], axis=1)
     cr2 = u_cr2 < pc
     n2 = c2 & ~cr2
 
-    delivered3 = n2[:, :, None] & (u_com >= pl)
-    _mask_self(delivered3, sender_offset=0)
-    cnt3 = delivered3.sum(axis=1)
+    cnt3 = _received(u_com, n2, pl, self_offset=0)
     c3 = n2 & (cnt3 >= th["commit_from_others"])
     cr3 = u_cr3 < pc
     n3 = c3 & ~cr3
@@ -265,18 +323,16 @@ def _pbft_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generator
     return _ChunkResult(values, "N3", success, path, highest, crash, phase_names)
 
 
-def _smart_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generator,
-                 g: int, detail: bool) -> _ChunkResult:
-    n, f = cfg.n, cfg.f
-    pl, pc = fp.p_l, fp.p_c
-    th = cfg.thresholds()
+def _smart_draws(cfg: ProtocolConfig) -> _Layout:
+    n = cfg.n
+    return ((n - 1,), (n - 1,), (n, n), (n,), (n, n), (n,))
 
-    u_pp = rng.random((g, n - 1))
-    u_cr1 = rng.random((g, n - 1))
-    u_write = rng.random((g, n, n))
-    u_cr2 = rng.random((g, n))
-    u_com = rng.random((g, n, n))
-    u_cr3 = rng.random((g, n))
+
+def _smart_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
+                 u: list[np.ndarray], detail: bool) -> _ChunkResult:
+    th = cfg.thresholds()
+    u_pp, u_cr1, u_write, u_cr2, u_com, u_cr3 = u
+    g = len(u_pp)
 
     got_pp = u_pp >= pl
     cr1 = u_cr1 < pc
@@ -284,16 +340,12 @@ def _smart_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generato
     one = np.ones((g, 1), dtype=bool)
     pool = np.concatenate([one, n1], axis=1)  # primary plus broadcast holders
 
-    delivered = pool[:, :, None] & (u_write >= pl)
-    _mask_self(delivered, sender_offset=0)
-    cnt = delivered.sum(axis=1)
+    cnt = _received(u_write, pool, pl, self_offset=0)
     c2 = pool & (cnt >= th["write_from_others"])
     cr2 = u_cr2 < pc
     n2 = c2 & ~cr2
 
-    delivered3 = n2[:, :, None] & (u_com >= pl)
-    _mask_self(delivered3, sender_offset=0)
-    cnt3 = delivered3.sum(axis=1)
+    cnt3 = _received(u_com, n2, pl, self_offset=0)
     # Members of the write quorum need 2f more commits; everyone else in
     # the pool may still finish on a full 2f+1 commit quorum.
     c3 = (n2 & (cnt3 >= th["commit_from_others"])) | (
@@ -338,19 +390,18 @@ def _smart_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generato
     return _ChunkResult(values, "N3", success, path, highest, crash, phase_names)
 
 
-def _zyzzyva_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generator,
-                   g: int, detail: bool) -> _ChunkResult:
-    n, f = cfg.n, cfg.f
-    pl, pc = fp.p_l, fp.p_c
-    th = cfg.thresholds()
+def _zyzzyva_draws(cfg: ProtocolConfig) -> _Layout:
+    n = cfg.n
+    # Order, crash, response, client crashes (phases 2-4), certificate,
+    # crash, ack.
+    return ((n - 1,), (n,), (n,), (3,), (n,), (n,), (n,))
 
-    u_pp = rng.random((g, n - 1))
-    u_cr1 = rng.random((g, n))
-    u_resp = rng.random((g, n))
-    u_client = rng.random((g, 3))  # client crash draws, phases 2-4
-    u_cert = rng.random((g, n))
-    u_cr3 = rng.random((g, n))
-    u_ack = rng.random((g, n))
+
+def _zyzzyva_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
+                   u: list[np.ndarray], detail: bool) -> _ChunkResult:
+    th = cfg.thresholds()
+    u_pp, u_cr1, u_resp, u_client, u_cert, u_cr3, u_ack = u
+    g = len(u_pp)
 
     one = np.ones((g, 1), dtype=bool)
     pool = np.concatenate([one, u_pp >= pl], axis=1)  # order holders incl. primary
@@ -396,28 +447,20 @@ def _zyzzyva_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Genera
     return _ChunkResult(values, "C4", success, path, highest, crash, phase_names)
 
 
-def _sbft_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generator,
-                g: int, detail: bool) -> _ChunkResult:
-    n, f = cfg.n, cfg.f
-    pl, pc = fp.p_l, fp.p_c
-    th = cfg.thresholds()
-    m = th["collectors"]
-    slots = np.arange(n)[None, :]
+def _sbft_draws(cfg: ProtocolConfig) -> _Layout:
+    n, m = cfg.n, cfg.thresholds()["collectors"]
+    return ((n - 1,), (n,), (n, m), (m,), (n, m), (n,), (n, m), (n, m), (n,), (n, m),
+            (m,), (n, m), (n,), (n, m))
 
-    u_pp = rng.random((g, n - 1))
-    u_cr1 = rng.random((g, n))
-    u_share = rng.random((g, n, m))
-    u_cr2 = rng.random((g, m))
-    u_b3f = rng.random((g, n, m))
-    u_cr3f = rng.random((g, n))
-    u_a4f = rng.random((g, n, m))
-    u_b3s = rng.random((g, n, m))
-    u_cr3s = rng.random((g, n))
-    u_a4s = rng.random((g, n, m))
-    u_cr4s = rng.random((g, m))
-    u_b5 = rng.random((g, n, m))
-    u_cr5 = rng.random((g, n))
-    u_a6 = rng.random((g, n, m))
+
+def _sbft_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
+                u: list[np.ndarray], detail: bool) -> _ChunkResult:
+    n = cfg.n
+    th = cfg.thresholds()
+    slots = np.arange(n)[None, :]
+    (u_pp, u_cr1, u_share, u_cr2, u_b3f, u_cr3f, u_a4f, u_b3s, u_cr3s, u_a4s, u_cr4s,
+     u_b5, u_cr5, u_a6) = u
+    g = len(u_pp)
 
     one = np.ones((g, 1), dtype=bool)
     pool = np.concatenate([one, u_pp >= pl], axis=1)
@@ -426,8 +469,7 @@ def _sbft_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generator
     n1_cnt = n1.sum(axis=1)
 
     # Phase 2: every order holder sends its signature share to each collector.
-    shares = n1[:, :, None] & (u_share >= pl)
-    cnt2 = shares.sum(axis=1)  # (g, m)
+    cnt2 = _received(u_share, n1, pl)  # (g, m)
     c2f = cnt2 >= th["fast_quorum"]
     c2s = (cnt2 >= th["slow_quorum_lo"]) & (cnt2 <= th["slow_quorum_hi"])
     coll_up = u_cr2 >= pc
@@ -437,7 +479,7 @@ def _sbft_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generator
     def rebroadcast(holders: np.ndarray, links: np.ndarray, receiver_count: np.ndarray) -> np.ndarray:
         # holders (g, m) certificate-carrying collectors; receivers are
         # canonical slots (later phases depend only on counts).
-        reached = (holders[:, None, :] & (links >= pl)).any(axis=2)  # (g, n)
+        reached = _received(links.transpose(0, 2, 1), holders, pl) > 0  # (g, n)
         picked = reached & (slots < receiver_count[:, None])
         return holders.sum(axis=1) + picked.sum(axis=1)
 
@@ -445,8 +487,7 @@ def _sbft_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generator
         return ((u >= pc) & (slots < count[:, None])).sum(axis=1)
 
     def collector_counts(sender_count: np.ndarray, links: np.ndarray) -> np.ndarray:
-        mask = (slots < sender_count[:, None])[:, :, None]
-        return (mask & (links >= pl)).sum(axis=1)  # (g, m)
+        return _received(links, slots < sender_count[:, None], pl)  # (g, m)
 
     # Fast path: rebroadcast to everyone, then f+1 execution acks.
     n2f_cnt = n2f.sum(axis=1)
@@ -505,21 +546,91 @@ def _sbft_chunk(cfg: ProtocolConfig, fp: FailureParams, rng: np.random.Generator
     return _ChunkResult(values, "C6", success, path, highest, crash, phase_names)
 
 
-_SAMPLERS: dict[str, Callable[..., _ChunkResult]] = {
-    PBFT: _pbft_chunk,
-    BFT_SMART: _smart_chunk,
-    ZYZZYVA: _zyzzyva_chunk,
-    SBFT: _sbft_chunk,
+_Draws = Callable[[ProtocolConfig], _Layout]
+_Block = Callable[[ProtocolConfig, np.uint64, np.uint64, list[np.ndarray], bool], _ChunkResult]
+
+_SAMPLERS: dict[str, tuple[_Draws, _Block]] = {
+    PBFT: (_pbft_draws, _pbft_block),
+    BFT_SMART: (_smart_draws, _smart_block),
+    ZYZZYVA: (_zyzzyva_draws, _zyzzyva_block),
+    SBFT: (_sbft_draws, _sbft_block),
 }
+
+# Draws one block may hold, over all of its arrays.
+_BLOCK_DRAWS = 1 << 18
+
+
+def _block_requests(cfg: ProtocolConfig) -> int:
+    """Requests per block: the largest power of two in [4, CHUNK] whose
+    draws fit in _BLOCK_DRAWS.  A multiple of 4, so every block starts on a
+    Philox counter boundary, and a divisor of CHUNK."""
+    per_request = sum(math.prod(shape) for shape in _SAMPLERS[cfg.protocol][0](cfg))
+    block = CHUNK
+    while block > 4 and block * per_request > _BLOCK_DRAWS:
+        block //= 2
+    return block
+
+
+def _pool() -> Executor:
+    """This process's worker pool; a forked child builds its own, since the
+    parent's worker threads do not exist in it."""
+    return _process_pool(os.getpid())
+
+
+@lru_cache(maxsize=1)
+def _process_pool(pid: int) -> Executor:
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="bftprob-sim")
+
+
+def _sample(sim: SimConfig, chunk_index: int, lo: int, hi: int, detail: bool) -> _ChunkResult:
+    """Requests [lo, hi) of one chunk, widened to whole blocks; lo lies on
+    a block edge.
+
+    Blocks run on the worker pool.  Each draws its slice of every array
+    from that slice's exact offset in the chunk stream.
+    """
+    cfg = sim.config
+    draws, block_sampler = _SAMPLERS[cfg.protocol]
+    layout = draws(cfg)
+    sizes = [math.prod(shape) for shape in layout]
+    offsets = [CHUNK * sum(sizes[:i]) for i in range(len(sizes))]
+    block = _block_requests(cfg)
+    key = _chunk_key(sim.seed, chunk_index)
+    pl, pc = _cut(sim.failures.p_l), _cut(sim.failures.p_c)
+
+    def run(start: int) -> _ChunkResult:
+        # Philox emits 4 outputs per counter step, so counter c resumes the
+        # stream at output 4c; every offset here is a multiple of 4.
+        bits = np.random.Philox(key=key, counter=0)
+        at = 0
+        u = []
+        for shape, offset, size in zip(layout, offsets, sizes):
+            bits.advance((offset + start * size - at) // 4)
+            raw = bits.random_raw(block * size)
+            raw >>= 11
+            u.append(raw.reshape((block,) + shape))
+            at = offset + (start + block) * size
+        return block_sampler(cfg, pl, pc, u, detail)
+
+    return _join(list(_pool().map(run, range(lo, hi, block))))
+
+
+# Both caches spare repeated inspection of one chunk or block a re-sample;
+# results are treated as read-only by all callers.
+@lru_cache(maxsize=2)
+def _run_chunk(sim: SimConfig, chunk_index: int, detail: bool) -> _ChunkResult:
+    return _sample(sim, chunk_index, 0, CHUNK, detail)
 
 
 @lru_cache(maxsize=2)
-def _run_chunk(sim: SimConfig, chunk_index: int, detail: bool) -> _ChunkResult:
-    # Cached so that request-by-request inspection of one chunk does not
-    # re-sample it; results are treated as read-only by all callers.
-    rng = _chunk_generator(sim.seed, chunk_index)
-    sampler = _SAMPLERS[sim.config.protocol]
-    return sampler(sim.config, sim.failures, rng, CHUNK, detail)
+def _request_block(sim: SimConfig, chunk_index: int, start: int) -> _ChunkResult:
+    return _sample(sim, chunk_index, start, start + 1, detail=True)
 
 
 def simulate_request(sim: SimConfig, request_index: int) -> SimRecord:
@@ -527,19 +638,21 @@ def simulate_request(sim: SimConfig, request_index: int) -> SimRecord:
     if not 0 <= request_index < sim.requests:
         raise DomainError(f"request index {request_index} outside 0..{sim.requests - 1}")
     chunk_index, offset = divmod(request_index, CHUNK)
-    res = _run_chunk(sim, chunk_index, detail=True)
+    start = offset - offset % _block_requests(sim.config)
+    res = _request_block(sim, chunk_index, start)
+    row = offset - start
     assert res.highest is not None and res.crash is not None
-    path = PATH_NAMES[int(res.path[offset])]
+    path = PATH_NAMES[int(res.path[row])]
     if sim.config.protocol in (PBFT, BFT_SMART):
-        quorum = bool(res.success["happy"][offset])
-        liveness = bool(res.success["liveness"][offset])
+        quorum = bool(res.success["happy"][row])
+        liveness = bool(res.success["liveness"][row])
     else:
-        quorum = bool(res.success["fast"][offset] or res.success["slow"][offset])
+        quorum = bool(res.success["fast"][row] or res.success["slow"][row])
         liveness = quorum
     return SimRecord(
         request_id=request_index,
-        highest_phase=res.highest[offset].copy(),
-        crash_step=res.crash[offset].copy(),
+        highest_phase=res.highest[row].copy(),
+        crash_step=res.crash[row].copy(),
         phase_names=res.phase_names,
         path=path,
         success_quorum=quorum,
@@ -561,35 +674,34 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
     """Aggregate `sim.requests` independent requests into campaign stats.
 
     record_sink, if given, receives (start_index, chunk_result, valid_count)
-    for each chunk; chunk results carry per-replica detail arrays.
+    for each chunk, in chunk order; the result's arrays carry per-replica
+    detail and cover at least the chunk's first valid_count requests.
     """
     detail = sim.record_phase_detail or record_sink is not None
     requests = sim.requests
     chunks = (requests + CHUNK - 1) // CHUNK
 
-    sums: dict[str, float] = {}
-    sumsq: dict[str, float] = {}
+    # Integer totals, exact below 2**53; each mean is one division.
+    sums: dict[str, int] = {}
+    sumsq: dict[str, int] = {}
     succ_counts: dict[str, int] = {}
-    final_hist: np.ndarray | None = None
+    final_hist = np.zeros(2, dtype=np.int64)
     final_name = ""
 
     for chunk_index in range(chunks):
-        res = _run_chunk(sim, chunk_index, detail)
         valid = min(requests - chunk_index * CHUNK, CHUNK)
+        res = _sample(sim, chunk_index, 0, valid, detail)
         final_name = res.final_name
         for name, arr in res.values.items():
-            vals = arr[:valid].astype(float)
-            sums[name] = sums.get(name, 0.0) + float(vals.sum())
-            sumsq[name] = sumsq.get(name, 0.0) + float((vals * vals).sum())
+            vals = arr[:valid].astype(np.int64, copy=False)
+            sums[name] = sums.get(name, 0) + int(vals.sum())
+            sumsq[name] = sumsq.get(name, 0) + int((vals * vals).sum())
         for name, arr in res.success.items():
             succ_counts[name] = succ_counts.get(name, 0) + int(arr[:valid].sum())
-        final_vals = res.values[final_name][:valid]
-        width = max(int(final_vals.max(initial=0)) + 1, 2)
-        if final_hist is None:
-            final_hist = np.zeros(width)
-        elif width > len(final_hist):
-            final_hist = np.concatenate([final_hist, np.zeros(width - len(final_hist))])
-        np.add.at(final_hist, final_vals.astype(int), 1.0)
+        counts = np.bincount(res.values[final_name][:valid], minlength=2)
+        if len(counts) > len(final_hist):
+            final_hist, counts = counts, final_hist
+        final_hist[: len(counts)] += counts
         if record_sink is not None:
             record_sink(chunk_index * CHUNK, res, valid)
 
@@ -610,7 +722,6 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
         success[name] = p
         success_ci[name] = _interval(p, sd, requests, z)
 
-    assert final_hist is not None
     return CampaignStats(
         sim=sim,
         phase_stats=tuple(stats),

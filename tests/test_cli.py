@@ -86,6 +86,29 @@ class TestSimulateCommand:
         assert lines[0] == "request_id,replica,phase_reached,crash_phase,path"
         assert len(lines) == 1 + 50 * 4
 
+    def test_failed_campaign_leaves_earlier_log(self, tmp_path, monkeypatch):
+        log = tmp_path / "log.csv"
+        args = ["simulate", "--protocol", "pbft", "-n", "4", "-f", "1", "--pl", "0.1",
+                "--pc", "0.05", "--seed", "5", "--record", str(log)]
+        main(args + ["--requests", "50"])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        write_rows = cli._record_writer
+
+        def failing_writer(out):
+            sink = write_rows(out)
+
+            def write_then_fail(start, res, valid):
+                sink(start, res, valid)
+                if start > 0:
+                    raise RuntimeError("interrupted")
+
+            return write_then_fail
+
+        monkeypatch.setattr(cli, "_record_writer", failing_writer)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(args + ["--requests", "20000"])  # fails in its second chunk
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_zero_requests_rejected(self, capsys):
         code = main(["simulate", "--protocol", "pbft", "-n", "4", "-f", "1",
                      "--pl", "0", "--pc", "0", "--requests", "0", "--seed", "1"])
