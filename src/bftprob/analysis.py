@@ -37,7 +37,7 @@ def stability_boundary(f: int, n: int, expected_prev: float) -> float:
     ((f+1) - (n - E))^2 / (E (E - 1)) with E the expected number of nodes
     still active after the previous phase.
     """
-    if expected_prev <= 1.0:
+    if not expected_prev > 1.0:  # also rejects NaN
         raise DomainError(f"expected_prev must exceed 1, got {expected_prev}")
     if expected_prev > n:
         raise DomainError(f"expected_prev {expected_prev} exceeds n={n}")

@@ -1,10 +1,27 @@
 """Command-line surface: model evaluation, simulation, analysis, validation.
 
+Every parameter is declared once, in `_PARAMS`: its flag, its converter and
+its argparse extras.  `_COMMANDS` gives each subcommand its handler, its help
+and, for each parameter it takes, a default, `REQUIRED`, or None (optional,
+no default).  The parser, `--config` merging, the required checks and the
+manifests all derive from these two tables, and each handler receives the
+resolved parameters as one dict.
+
+Parameters come from flags first, then from `--config FILE`, a JSON object
+keyed by parameter name (`"n"`, `"pl_values"`, ...), then from defaults.  A
+config value must have its parameter's JSON type: an integer for counts and
+seeds, a number for rates, a string for names and paths (one of the flag's
+choices where it has them), and for value lists a JSON list of numbers or
+the flag's comma-separated text.  A null value counts as not given.  A key
+that is not a parameter of the subcommand, or that is also given as a flag,
+is an error.
+
 Every run that writes an output file also writes `<output>.manifest.json`
-recording the subcommand, the fully resolved parameters, the tool version,
-and a sha256 of the payload, so any manifest can be replayed to
-byte-identical results.  Probabilities serialize with 17 significant
-digits (lossless for float64).
+recording the subcommand, the resolved parameters (all but the output
+paths), the tool version, and a sha256 of the payload.  A manifest's
+`parameters` is a valid `--config` for its subcommand: rerunning with it and
+output paths writes byte-identical files.  Probabilities serialize with 17
+significant digits (lossless for float64).
 
 Exit codes: 0 success, 2 argument/config error, 3 validation coverage below
 the floor, 4 internal numeric error (normalization breach).
@@ -13,6 +30,7 @@ the floor, 4 internal numeric error (normalization breach).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -44,15 +62,21 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text)
+def _csv(rows: list[list]) -> str:
+    """Floats with 17 significant digits, None as empty, the rest by str."""
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return _fmt(v) if isinstance(v, (float, np.floating)) else str(v)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
 
 
 def _write_manifest(path: str, subcommand: str, params: dict) -> None:
     payload = Path(path).read_bytes()
     manifest = {
         "subcommand": subcommand,
-        "parameters": {k: params[k] for k in sorted(params)},
+        "parameters": {k: params[k] for k in sorted(params) if k not in ("output", "record")},
         "seed": params.get("seed"),
         "version": __version__,
         "output": Path(path).name,
@@ -63,179 +87,79 @@ def _write_manifest(path: str, subcommand: str, params: dict) -> None:
     )
 
 
-def _csv(rows: list[list[str]]) -> str:
-    return "".join(",".join(row) + "\n" for row in rows)
+def _write_output(p: dict, subcommand: str, text: str) -> None:
+    Path(p["output"]).write_text(text)
+    _write_manifest(p["output"], subcommand, p)
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill unset options from --config JSON; explicit flag + file key is an error."""
-    if getattr(args, "config", None) is None:
-        return args
-    try:
-        loaded = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read --config {args.config}: {exc}")
-    if not isinstance(loaded, dict):
-        parser.error("--config must contain a JSON object")
-    for key, value in loaded.items():
-        if not hasattr(args, key) or key == "config":
-            parser.error(f"--config key {key!r} is not a parameter of this subcommand")
-        if getattr(args, key) is not None:
-            parser.error(f"{key!r} given both on the command line and in --config")
-        setattr(args, key, value)
-    return args
+def _value_list(item: type):
+    """Converter for a list of `item`s, given as comma text or a JSON list."""
+
+    def convert(value) -> tuple:
+        if isinstance(value, str):
+            value = [item(tok) for tok in value.split(",") if tok.strip()]
+        elif not all(isinstance(v, _JSON_TYPES[item]) and not isinstance(v, bool) for v in value):
+            raise TypeError(f"expected a list of {item.__name__}s")
+        if not value:
+            raise ValueError("empty list")
+        return tuple(item(v) for v in value)
+
+    convert.__name__ = f"{item.__name__} list"
+    return convert
 
 
-def _require(args: argparse.Namespace, parser: argparse.ArgumentParser, names: list[str]) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            parser.error(f"missing required option --{name.replace('_', '-')}")
+# The JSON types a --config value may have, per converter.
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+_int_list, _float_list = _value_list(int), _value_list(float)
+
+# name -> (flag, converter, argparse extras)
+_PARAMS = {
+    "protocol": ("--protocol", str, {"choices": PROTOCOLS}),
+    "n": ("-n", int, {}),
+    "n_values": ("--n-values", _int_list, {}),
+    "f": ("-f", int, {}),
+    "c": ("-c", int, {}),
+    "pl": ("--pl", float, {"help": "link failure probability"}),
+    "pc": ("--pc", float, {"help": "crash failure probability"}),
+    "pl_values": ("--pl-values", _float_list, {}),
+    "pc_values": ("--pc-values", _float_list, {}),
+    "requests": ("--requests", int, {}),
+    "seed": ("--seed", int, {}),
+    "threshold": ("--threshold", str, {"choices": ("happy", "liveness")}),
+    "step": ("--step", float, {}),
+    "min_coverage": ("--min-coverage", float, {}),
+    "expected": ("--expected", float, {"help": "expected active count after the previous phase"}),
+    "mu": ("--mu", float, {}),
+    "sigma": ("--sigma", float, {}),
+    "rate": ("--rate", float, {}),
+    "p": ("--p", float, {"help": "link failure probability"}),
+    "q": ("--q", float, {"help": "relative quorum size"}),
+    "format": ("--format", str, {"choices": ("csv", "json")}),
+    "output": ("--output", str, {"help": "write the result here"}),
+    "record": ("--record", str, {"help": "write per-request log CSV here"}),
+}
+
+REQUIRED = object()
 
 
-def _defaults(args: argparse.Namespace, **values) -> None:
-    for key, value in values.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-
-
-def _probs_list(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip() != "")
-
-
-def _ints_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip() != "")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bftprob",
-        description="Replica-state distributions for BFT happy paths under dynamic failures.",
-    )
-    parser.add_argument("--version", action="version", version=f"bftprob {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, sim: bool = False) -> None:
-        p.add_argument("--protocol", choices=PROTOCOLS)
-        p.add_argument("-n", type=int, dest="n")
-        p.add_argument("-f", type=int, dest="f")
-        p.add_argument("-c", type=int, dest="c")
-        p.add_argument("--pl", type=float, dest="pl", help="link failure probability")
-        p.add_argument("--pc", type=float, dest="pc", help="crash failure probability")
-        p.add_argument("--config", help="JSON file of parameters (conflicts with flags are errors)")
-        if sim:
-            p.add_argument("--requests", type=int)
-            p.add_argument("--seed", type=int)
-
-    p_model = sub.add_parser("model", help="evaluate an analytic protocol model")
-    add_common(p_model)
-    p_model.add_argument("--output", help="write the phase distributions here")
-    p_model.add_argument("--format", choices=("csv", "json"))
-
-    p_sim = sub.add_parser("simulate", help="run a seeded simulation campaign")
-    add_common(p_sim, sim=True)
-    p_sim.add_argument("--output", help="write campaign statistics CSV here")
-    p_sim.add_argument("--record", help="write per-request log CSV here")
-
-    p_an = sub.add_parser("analyze", help="stability, timeout, asymptote, sweep, gradient")
-    an_sub = p_an.add_subparsers(dest="mode", required=True)
-
-    p_b = an_sub.add_parser("boundary", help="quorum stability boundary rate")
-    p_b.add_argument("-n", type=int, dest="n")
-    p_b.add_argument("-f", type=int, dest="f")
-    p_b.add_argument("--expected", type=float, help="expected active count after the previous phase")
-    p_b.add_argument("--config")
-
-    p_t = an_sub.add_parser("timeout", help="timeout for a delay distribution and boundary rate")
-    p_t.add_argument("--mu", type=float)
-    p_t.add_argument("--sigma", type=float)
-    p_t.add_argument("--rate", type=float)
-    p_t.add_argument("--config")
-
-    p_a = an_sub.add_parser("asymptote", help="large-n limit of quorum success")
-    p_a.add_argument("--p", type=float, help="link failure probability")
-    p_a.add_argument("--q", type=float, help="relative quorum size")
-    p_a.add_argument("--config")
-
-    p_s = an_sub.add_parser("sweep", help="success probabilities over a failure grid")
-    p_s.add_argument("--protocol", choices=PROTOCOLS)
-    p_s.add_argument("--n-values", dest="n_values")
-    p_s.add_argument("-n", type=int, dest="n")
-    p_s.add_argument("-f", type=int, dest="f")
-    p_s.add_argument("-c", type=int, dest="c")
-    p_s.add_argument("--pl-values", dest="pl_values")
-    p_s.add_argument("--pc-values", dest="pc_values")
-    p_s.add_argument("--threshold", choices=("happy", "liveness"))
-    p_s.add_argument("--output")
-    p_s.add_argument("--config")
-
-    p_g = an_sub.add_parser("gradient", help="finite-difference gradient field of success")
-    p_g.add_argument("--protocol", choices=PROTOCOLS)
-    p_g.add_argument("-n", type=int, dest="n")
-    p_g.add_argument("-f", type=int, dest="f")
-    p_g.add_argument("-c", type=int, dest="c")
-    p_g.add_argument("--pl-values", dest="pl_values")
-    p_g.add_argument("--pc-values", dest="pc_values")
-    p_g.add_argument("--step", type=float)
-    p_g.add_argument("--threshold", choices=("happy", "liveness"))
-    p_g.add_argument("--output")
-    p_g.add_argument("--config")
-
-    p_v = sub.add_parser("validate", help="compare simulation campaigns against the models")
-    add_common(p_v, sim=True)
-    p_v.add_argument("--pl-values", dest="pl_values")
-    p_v.add_argument("--pc-values", dest="pc_values")
-    p_v.add_argument("--min-coverage", type=float, dest="min_coverage")
-    p_v.add_argument("--output")
-
-    return parser
-
-
-def _protocol_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ProtocolConfig:
-    _require(args, parser, ["protocol", "n", "f"])
-    _defaults(args, c=0)
-    return ProtocolConfig(args.protocol, args.n, args.f, args.c)
-
-
-def _cmd_model(args, parser) -> int:
-    cfg = _protocol_config(args, parser)
-    _require(args, parser, ["pl", "pc"])
-    _defaults(args, format="csv")
-    trace = model_trace(cfg, FailureParams(args.pl, args.pc))
+def _cmd_model(p: dict) -> int:
+    cfg = ProtocolConfig(p["protocol"], p["n"], p["f"], p["c"])
+    trace = model_trace(cfg, FailureParams(p["pl"], p["pc"]))
     for name in sorted(trace.path_success):
         print(f"path {name} success={_fmt(trace.path_success[name])}")
     if trace.primary_quorum_prob is not None:
         print(f"primary quorum prob={_fmt(trace.primary_quorum_prob)}")
-    if args.output:
+    if p["output"]:
         header = ["protocol", "n", "f", "c", "p_l", "p_c", "phase", "k", "prob"]
-        base = [cfg.protocol, str(cfg.n), str(cfg.f), str(cfg.c), _fmt(args.pl), _fmt(args.pc)]
-        rows = [header]
-        records = []
-        for phase, pmf in trace.phases:
-            for k, prob in enumerate(pmf.mass):
-                rows.append(base + [phase, str(k), _fmt(prob)])
-                records.append(
-                    dict(zip(header, [cfg.protocol, cfg.n, cfg.f, cfg.c,
-                                      args.pl, args.pc, phase, k, float(prob)]))
-                )
-        if args.format == "csv":
-            _write_text(args.output, _csv(rows))
+        base = [cfg.protocol, cfg.n, cfg.f, cfg.c, p["pl"], p["pc"]]
+        rows = [base + [phase, k, float(prob)]
+                for phase, pmf in trace.phases for k, prob in enumerate(pmf.mass)]
+        if p["format"] == "csv":
+            text = _csv([header] + rows)
         else:
-            _write_text(args.output, json.dumps(records, indent=1) + "\n")
-        _write_manifest(args.output, "model", {
-            "protocol": cfg.protocol, "n": cfg.n, "f": cfg.f, "c": cfg.c,
-            "pl": args.pl, "pc": args.pc, "format": args.format,
-        })
+            text = json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
+        _write_output(p, "model", text)
     return EXIT_OK
-
-
-def _sim_config(args, parser) -> SimConfig:
-    cfg = _protocol_config(args, parser)
-    _require(args, parser, ["pl", "pc", "requests", "seed"])
-    return SimConfig(cfg, FailureParams(args.pl, args.pc), args.requests, args.seed)
 
 
 def _record_writer(log):
@@ -262,192 +186,213 @@ def _record_writer(log):
     return sink
 
 
-def _cmd_simulate(args, parser) -> int:
-    sim = _sim_config(args, parser)
-    if args.record:
+def _cmd_simulate(p: dict) -> int:
+    sim = SimConfig(ProtocolConfig(p["protocol"], p["n"], p["f"], p["c"]),
+                    FailureParams(p["pl"], p["pc"]), p["requests"], p["seed"])
+    if p["record"]:
         # Rows stream into a scratch file beside the log, which replaces the
         # log only once the campaign completes: a failed run leaves no
         # partial log and leaves any earlier log and manifest as they were.
-        partial = f"{args.record}.{os.getpid()}.partial"
+        partial = f"{p['record']}.{os.getpid()}.partial"
         try:
             with open(partial, "w") as log:
                 log.write("request_id,replica,phase_reached,crash_phase,path\n")
                 stats = run_campaign(sim, record_sink=_record_writer(log))
-            os.replace(partial, args.record)
+            os.replace(partial, p["record"])
         finally:
             if os.path.exists(partial):
                 os.remove(partial)
+        _write_manifest(p["record"], "simulate-record", p)
     else:
         stats = run_campaign(sim)
     for name in sorted(stats.success):
         lo, hi = stats.success_ci[name]
         print(f"success {name}={_fmt(stats.success[name])} ci=({_fmt(lo)},{_fmt(hi)})")
-
-    base_params = {
-        "protocol": sim.config.protocol, "n": sim.config.n, "f": sim.config.f,
-        "c": sim.config.c, "pl": sim.failures.p_l, "pc": sim.failures.p_c,
-        "requests": sim.requests, "seed": sim.seed,
-    }
-    if args.output:
-        base = [sim.config.protocol, str(sim.config.n), str(sim.config.f), str(sim.config.c),
-                _fmt(sim.failures.p_l), _fmt(sim.failures.p_c), str(sim.requests), str(sim.seed)]
+    if p["output"]:
+        base = [p[k] for k in ("protocol", "n", "f", "c", "pl", "pc", "requests", "seed")]
         rows = [["protocol", "n", "f", "c", "p_l", "p_c", "requests", "seed",
                  "metric", "value", "ci_lo", "ci_hi"]]
-        for st in stats.phase_stats:
-            rows.append(base + [st.name, _fmt(st.mean), _fmt(st.ci_lo), _fmt(st.ci_hi)])
-        for name in sorted(stats.success):
-            lo, hi = stats.success_ci[name]
-            rows.append(base + [f"success_{name}", _fmt(stats.success[name]), _fmt(lo), _fmt(hi)])
-        for k, freq in enumerate(stats.final_counts):
-            rows.append(base + [f"final_{stats.final_phase}[{k}]", _fmt(freq), "", ""])
-        _write_text(args.output, _csv(rows))
-        _write_manifest(args.output, "simulate", base_params)
-    if args.record:
-        _write_manifest(args.record, "simulate-record", base_params)
+        rows += [base + [st.name, st.mean, st.ci_lo, st.ci_hi] for st in stats.phase_stats]
+        rows += [base + [f"success_{name}", stats.success[name], *stats.success_ci[name]]
+                 for name in sorted(stats.success)]
+        rows += [base + [f"final_{stats.final_phase}[{k}]", float(freq), None, None]
+                 for k, freq in enumerate(stats.final_counts)]
+        _write_output(p, "simulate", _csv(rows))
     return EXIT_OK
 
 
-def _cmd_analyze(args, parser) -> int:
-    if args.mode == "boundary":
-        _require(args, parser, ["n", "f", "expected"])
-        rate = stability_boundary(args.f, args.n, args.expected)
-        print(f"boundary rate={_fmt(rate)}")
-        return EXIT_OK
-    if args.mode == "timeout":
-        _require(args, parser, ["mu", "sigma", "rate"])
-        est = timeout_for_boundary(args.mu, args.sigma, args.rate)
-        print(f"timeout at rate quantile={_fmt(est.at_rate_quantile)} ms")
-        print(f"timeout at complement quantile={_fmt(est.at_complement_quantile)} ms")
-        return EXIT_OK
-    if args.mode == "asymptote":
-        _require(args, parser, ["p", "q"])
-        print(f"limit={_fmt(quorum_asymptote(args.p, args.q))}")
-        return EXIT_OK
-
-    _require(args, parser, ["protocol", "pl_values", "pc_values"])
-    _defaults(args, c=0)
-    pl_values = _probs_list(args.pl_values)
-    pc_values = _probs_list(args.pc_values)
-    if args.mode == "sweep":
-        _defaults(args, threshold="happy")
-        n_values = _ints_list(args.n_values) if args.n_values is not None else None
-        grid = SweepGrid(
-            protocol=args.protocol, p_l_values=pl_values, p_c_values=pc_values,
-            n=args.n, n_values=n_values, f=args.f, c=args.c, threshold=args.threshold,
-        )
-        rows = [["n", "f", "c", "p_l", "p_c", "path", "success", "error"]]
-        for r in sweep(grid):
-            rows.append([
-                str(r.n), "" if r.f is None else str(r.f), str(r.c),
-                _fmt(r.p_l), _fmt(r.p_c), r.path,
-                "" if r.success is None else _fmt(r.success),
-                r.error or "",
-            ])
-        text = _csv(rows)
-        if args.output:
-            _write_text(args.output, text)
-            _write_manifest(args.output, "analyze-sweep", {
-                "protocol": args.protocol, "n": args.n, "n_values": args.n_values,
-                "f": args.f, "c": args.c, "pl_values": list(pl_values),
-                "pc_values": list(pc_values), "threshold": args.threshold,
-            })
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    if args.mode == "gradient":
-        _require(args, parser, ["n"])
-        _defaults(args, step=0.005, threshold="happy")
-        grid = SweepGrid(
-            protocol=args.protocol, p_l_values=pl_values, p_c_values=pc_values,
-            n=args.n, f=args.f, c=args.c, threshold=args.threshold,
-        )
-        field = gradient_field(grid, step=args.step)
-        rows = [["p_c", "p_l", "success", "d_dpc", "d_dpl"]]
-        for i, p_c in enumerate(field.p_c_values):
-            for j, p_l in enumerate(field.p_l_values):
-                rows.append([
-                    _fmt(p_c), _fmt(p_l), _fmt(field.success[i, j]),
-                    _fmt(field.d_dpc[i, j]), _fmt(field.d_dpl[i, j]),
-                ])
-        text = _csv(rows)
-        if args.output:
-            _write_text(args.output, text)
-            _write_manifest(args.output, "analyze-gradient", {
-                "protocol": args.protocol, "n": args.n, "f": args.f, "c": args.c,
-                "pl_values": list(pl_values), "pc_values": list(pc_values),
-                "step": args.step,
-            })
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    parser.error(f"unknown analyze mode {args.mode!r}")
-    return EXIT_USAGE
+def _cmd_boundary(p: dict) -> int:
+    print(f"boundary rate={_fmt(stability_boundary(p['f'], p['n'], p['expected']))}")
+    return EXIT_OK
 
 
-def _cmd_validate(args, parser) -> int:
-    _require(args, parser, ["protocol", "n", "f", "requests", "seed"])
-    _defaults(args, c=0, min_coverage=0.9)
-    pl_values = _probs_list(args.pl_values) if args.pl_values is not None else (args.pl,)
-    pc_values = _probs_list(args.pc_values) if args.pc_values is not None else (args.pc,)
-    if pl_values == (None,) or pc_values == (None,):
-        parser.error("validate needs --pl/--pc or --pl-values/--pc-values")
-    cfg = ProtocolConfig(args.protocol, args.n, args.f, args.c)
+def _cmd_timeout(p: dict) -> int:
+    est = timeout_for_boundary(p["mu"], p["sigma"], p["rate"])
+    print(f"timeout at rate quantile={_fmt(est.at_rate_quantile)} ms")
+    print(f"timeout at complement quantile={_fmt(est.at_complement_quantile)} ms")
+    return EXIT_OK
+
+
+def _cmd_asymptote(p: dict) -> int:
+    print(f"limit={_fmt(quorum_asymptote(p['p'], p['q']))}")
+    return EXIT_OK
+
+
+def _grid(p: dict, **extra) -> SweepGrid:
+    return SweepGrid(protocol=p["protocol"], p_l_values=p["pl_values"],
+                     p_c_values=p["pc_values"], n=p["n"], f=p["f"], c=p["c"],
+                     threshold=p["threshold"], **extra)
+
+
+def _write_or_print(p: dict, subcommand: str, rows: list[list]) -> int:
+    if p["output"]:
+        _write_output(p, subcommand, _csv(rows))
+    else:
+        sys.stdout.write(_csv(rows))
+    return EXIT_OK
+
+
+def _cmd_sweep(p: dict) -> int:
+    rows = [["n", "f", "c", "p_l", "p_c", "path", "success", "error"]]
+    rows += [[r.n, r.f, r.c, r.p_l, r.p_c, r.path, r.success, r.error]
+             for r in sweep(_grid(p, n_values=p["n_values"]))]
+    return _write_or_print(p, "analyze-sweep", rows)
+
+
+def _cmd_gradient(p: dict) -> int:
+    field = gradient_field(_grid(p), step=p["step"])
+    rows = [["p_c", "p_l", "success", "d_dpc", "d_dpl"]]
+    rows += [[p_c, p_l, field.success[i, j], field.d_dpc[i, j], field.d_dpl[i, j]]
+             for i, p_c in enumerate(field.p_c_values)
+             for j, p_l in enumerate(field.p_l_values)]
+    return _write_or_print(p, "analyze-gradient", rows)
+
+
+def _cmd_validate(p: dict) -> int:
+    pl_values = p["pl_values"] or (p["pl"],)
+    pc_values = p["pc_values"] or (p["pc"],)
+    if None in pl_values + pc_values:
+        raise DomainError("validate needs --pl/--pc or --pl-values/--pc-values")
+    cfg = ProtocolConfig(p["protocol"], p["n"], p["f"], p["c"])
 
     rows = [["protocol", "n", "f", "c", "p_l", "p_c", "requests", "seed",
              "phase", "predicted", "observed", "ci_lo", "ci_hi", "covered"]]
-    covered = 0
-    total = 0
     for p_c in pc_values:
         for p_l in pl_values:
-            sim = SimConfig(cfg, FailureParams(p_l, p_c), args.requests, args.seed)
-            stats = run_campaign(sim)
-            check = compare_to_model(stats, model_trace(cfg, sim.failures))
-            for r in check.rows:
-                covered += r.covered
-                total += 1
-                rows.append([
-                    cfg.protocol, str(cfg.n), str(cfg.f), str(cfg.c),
-                    _fmt(p_l), _fmt(p_c), str(args.requests), str(args.seed),
-                    r.name, _fmt(r.predicted), _fmt(r.observed),
-                    _fmt(r.ci_lo), _fmt(r.ci_hi), str(int(r.covered)),
-                ])
+            sim = SimConfig(cfg, FailureParams(p_l, p_c), p["requests"], p["seed"])
+            check = compare_to_model(run_campaign(sim), model_trace(cfg, sim.failures))
+            rows += [[cfg.protocol, cfg.n, cfg.f, cfg.c, p_l, p_c, p["requests"], p["seed"],
+                      r.name, r.predicted, r.observed, r.ci_lo, r.ci_hi, int(r.covered)]
+                     for r in check.rows]
+    covered = sum(row[-1] for row in rows[1:])
+    total = len(rows) - 1
     coverage = covered / total
     print(f"coverage={_fmt(coverage)} ({covered}/{total} phase checks)")
-    if args.output:
-        _write_text(args.output, _csv(rows))
-        _write_manifest(args.output, "validate", {
-            "protocol": cfg.protocol, "n": cfg.n, "f": cfg.f, "c": cfg.c,
-            "pl_values": list(pl_values), "pc_values": list(pc_values),
-            "requests": args.requests, "seed": args.seed,
-            "min_coverage": args.min_coverage,
-        })
-    if coverage < args.min_coverage:
-        print(f"coverage below floor {_fmt(args.min_coverage)}", file=sys.stderr)
+    if p["output"]:
+        _write_output(p, "validate", _csv(rows))
+    if coverage < p["min_coverage"]:
+        print(f"coverage below floor {_fmt(p['min_coverage'])}", file=sys.stderr)
         return EXIT_COVERAGE
     return EXIT_OK
 
 
+_PROTOCOL = {"protocol": REQUIRED, "n": REQUIRED, "f": REQUIRED, "c": 0}
+_SIM = {**_PROTOCOL, "pl": REQUIRED, "pc": REQUIRED, "requests": REQUIRED, "seed": REQUIRED}
+_GRID = {"protocol": REQUIRED, "n": None, "f": None, "c": 0, "pl_values": REQUIRED,
+         "pc_values": REQUIRED, "threshold": "happy", "output": None}
+
+# subcommand -> (handler, help, {parameter: default, REQUIRED or None})
+_COMMANDS = {
+    "model": (_cmd_model, "evaluate an analytic protocol model",
+              {**_PROTOCOL, "pl": REQUIRED, "pc": REQUIRED, "output": None, "format": "csv"}),
+    "simulate": (_cmd_simulate, "run a seeded simulation campaign",
+                 {**_SIM, "output": None, "record": None}),
+    "analyze boundary": (_cmd_boundary, "quorum stability boundary rate",
+                         {"n": REQUIRED, "f": REQUIRED, "expected": REQUIRED}),
+    "analyze timeout": (_cmd_timeout, "timeout for a delay distribution and boundary rate",
+                        {"mu": REQUIRED, "sigma": REQUIRED, "rate": REQUIRED}),
+    "analyze asymptote": (_cmd_asymptote, "large-n limit of quorum success",
+                          {"p": REQUIRED, "q": REQUIRED}),
+    "analyze sweep": (_cmd_sweep, "success probabilities over a failure grid",
+                      {**_GRID, "n_values": None}),
+    "analyze gradient": (_cmd_gradient, "finite-difference gradient field of success",
+                         {**_GRID, "n": REQUIRED, "step": 0.005}),
+    "validate": (_cmd_validate, "compare simulation campaigns against the models",
+                 {**_SIM, "pl": None, "pc": None, "pl_values": None, "pc_values": None,
+                  "min_coverage": 0.9, "output": None}),
+}
+_GROUP_HELP = {"analyze": "stability, timeout, asymptote, sweep, gradient"}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bftprob",
+        description="Replica-state distributions for BFT happy paths under dynamic failures.",
+    )
+    parser.add_argument("--version", action="version", version=f"bftprob {__version__}")
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (_, help_text, spec) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subparsers:
+            p_group = subparsers[""].add_parser(group, help=_GROUP_HELP[group])
+            subparsers[group] = p_group.add_subparsers(dest="mode", required=True)
+        p = subparsers[group].add_parser(leaf, help=help_text)
+        for key in spec:
+            flag, convert, extras = _PARAMS[key]
+            p.add_argument(flag, dest=key, type=convert, **extras)
+        p.add_argument("--config", help="JSON file of parameters (conflicts with flags are errors)")
+        p.set_defaults(_command=name, _parser=p)
+    return parser
+
+
+def _from_json(key: str, value, parser: argparse.ArgumentParser):
+    _, convert, extras = _PARAMS[key]
+    if (not isinstance(value, bool) and isinstance(value, _JSON_TYPES.get(convert, (str, list)))
+            and value in extras.get("choices", (value,))):
+        with contextlib.suppress(TypeError, ValueError):
+            return convert(value)
+    parser.error(f"--config {key}: invalid {convert.__name__} value: {value!r}")
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Parameters from flags, then --config, then the subcommand's defaults."""
+    parser, spec = args._parser, _COMMANDS[args._command][2]
+    given = {key: getattr(args, key) for key in spec if getattr(args, key) is not None}
+    if args.config is not None:
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read --config {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error("--config must contain a JSON object")
+        for key, value in loaded.items():
+            if key not in spec:
+                parser.error(f"--config key {key!r} is not a parameter of this subcommand")
+            if key in given:
+                parser.error(f"{key!r} given both on the command line and in --config")
+            if value is not None:
+                given[key] = _from_json(key, value, parser)
+    for key, default in spec.items():
+        if given.setdefault(key, default) is REQUIRED:
+            parser.error(f"missing required option {_PARAMS[key][0]}")
+    for path in map(Path, filter(None, (given.get("output"), given.get("record")))):
+        if path.is_dir() or not path.parent.is_dir():
+            parser.error(f"cannot write {path}: "
+                         f"{'is a directory' if path.is_dir() else 'no such directory'}")
+    return given
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args = _merge_config(args, parser)
+    args = _build_parser().parse_args(argv)
+    params = _resolve(args)
     try:
-        if args.command == "model":
-            return _cmd_model(args, parser)
-        if args.command == "simulate":
-            return _cmd_simulate(args, parser)
-        if args.command == "analyze":
-            return _cmd_analyze(args, parser)
-        if args.command == "validate":
-            return _cmd_validate(args, parser)
+        return _COMMANDS[args._command][0](params)
     except NormalizationError as exc:
         print(f"internal numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -41,6 +41,10 @@ class TestStabilityBoundary:
         with pytest.raises(DomainError):
             stability_boundary(1, 4, 5.0)
 
+    def test_nan_expected_rejected(self):
+        with pytest.raises(DomainError, match="nan"):
+            stability_boundary(1, 4, float("nan"))
+
     def test_chained_from_trace(self):
         trace = pbft_model(ProtocolConfig("pbft", 25, 8), FailureParams(0.0, 0.0))
         rates = chained_boundaries(trace)

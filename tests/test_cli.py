@@ -1,5 +1,6 @@
 """Command-line surface: round trips, determinism, exit codes, manifests."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -221,3 +222,151 @@ class TestExitCodes:
             main(["model", "--protocol", "raft", "-n", "4", "-f", "1",
                   "--pl", "0", "--pc", "0"])
         assert err.value.code == EXIT_USAGE
+
+
+def _usage_error(argv, capsys) -> str:
+    """Run argv, expect exit 2 with one error line and no traceback."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    stderr = capsys.readouterr().err
+    errors = [line for line in stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "Traceback" not in stderr
+    return errors[0]
+
+
+SWEEP = ["analyze", "sweep", "--protocol", "pbft", "-n", "4"]
+
+
+class TestTypedInput:
+    @pytest.mark.parametrize("argv, config", [
+        (["model", "--protocol", "pbft", "-f", "1", "--pl", "0.1", "--pc", "0"], {"n": "7"}),
+        (["model", "--protocol", "pbft", "-n", "4", "-f", "1", "--pc", "0"], {"pl": "0.1"}),
+        (SWEEP + ["--pc-values", "0"], {"pl_values": 0.1}),
+        (SWEEP + ["--pc-values", "0"], {"pl_values": [0.1, "x"]}),
+        (["model", "--protocol", "pbft", "-n", "4", "-f", "1", "--pl", "0"], {"pc": True}),
+        (["model", "-n", "4", "-f", "1", "--pl", "0", "--pc", "0"], {"protocol": "raft"}),
+    ], ids=["int-as-string", "rate-as-string", "list-as-number", "list-with-string",
+            "rate-as-bool", "unknown-choice"])
+    def test_wrong_json_type(self, tmp_path, capsys, argv, config):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        key = next(iter(config))
+        assert f"--config {key}: invalid" in _usage_error(argv + ["--config", str(cfg)], capsys)
+
+    def test_bad_rate_list(self, capsys):
+        line = _usage_error(SWEEP + ["--pl-values", "0.1,abc", "--pc-values", "0"], capsys)
+        assert "--pl-values" in line
+
+    def test_bad_count_list(self, capsys):
+        argv = ["analyze", "sweep", "--protocol", "pbft", "--n-values", "x",
+                "--pl-values", "0.1", "--pc-values", "0"]
+        assert "--n-values" in _usage_error(argv, capsys)
+
+    def test_list_forms_agree(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        outputs = []
+        for values in ("0,0.1", [0, 0.1]):
+            cfg.write_text(json.dumps({"pl_values": values}))
+            assert main(SWEEP + ["--pc-values", "0", "--config", str(cfg)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert main(SWEEP + ["--pc-values", "0", "--pl-values", "0,0.1"]) == EXIT_OK
+        assert outputs == [capsys.readouterr().out] * 2
+
+    def test_empty_validate_grid(self, capsys):
+        argv = ["validate", "--protocol", "pbft", "-n", "4", "-f", "1", "--pl-values", ",",
+                "--pc-values", "0.1", "--requests", "10", "--seed", "1"]
+        assert "--pl-values" in _usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("flag", ["--output", "--record"])
+    def test_unwritable_path(self, tmp_path, capsys, flag):
+        target = tmp_path / "missing" / "out.csv"
+        argv = ["simulate", "--protocol", "pbft", "-n", "4", "-f", "1", "--pl", "0.1",
+                "--pc", "0.05", "--requests", "10", "--seed", "1", flag, str(target)]
+        assert f"error: cannot write {target}: " in _usage_error(argv, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestParameterTable:
+    # Option strings of each subcommand, as the hand-written parser had them.
+    OPTIONS = {
+        "model": "--config --format --output --pc --pl --protocol -c -f -n",
+        "simulate": "--config --output --pc --pl --protocol --record --requests --seed -c -f -n",
+        "analyze boundary": "--config --expected -f -n",
+        "analyze timeout": "--config --mu --rate --sigma",
+        "analyze asymptote": "--config --p --q",
+        "analyze sweep": "--config --n-values --output --pc-values --pl-values --protocol "
+                         "--threshold -c -f -n",
+        "analyze gradient": "--config --output --pc-values --pl-values --protocol --step "
+                            "--threshold -c -f -n",
+        "validate": "--config --min-coverage --output --pc --pc-values --pl --pl-values "
+                    "--protocol --requests --seed -c -f -n",
+    }
+
+    @staticmethod
+    def _subparsers(parser):
+        return next((a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)), {})
+
+    def test_option_strings_unchanged(self):
+        found = {}
+        for name, sub in self._subparsers(cli._build_parser()).items():
+            for leaf, p in (self._subparsers(sub) or {"": sub}).items():
+                found[f"{name} {leaf}".strip()] = " ".join(sorted(
+                    s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")))
+        assert found == self.OPTIONS
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["model"], {"c": 0, "format": "csv"}),
+        (["analyze", "sweep"], {"c": 0, "threshold": "happy"}),
+        (["analyze", "gradient"], {"c": 0, "threshold": "happy", "step": 0.005}),
+        (["validate"], {"c": 0, "min_coverage": 0.9}),
+    ])
+    def test_defaults(self, argv, expected):
+        args = argv + ["--protocol", "pbft", "-n", "4", "-f", "1", "--pl", "0", "--pc", "0",
+                       "--pl-values", "0", "--pc-values", "0", "--requests", "1", "--seed", "1"]
+        known = cli._build_parser().parse_known_args(args)[0]
+        resolved = cli._resolve(known)
+        assert {k: resolved[k] for k in expected} == expected
+
+
+REPLAY_CASES = {
+    "model-csv": (["model", "--protocol", "pbft", "-n", "7", "-f", "2", "--pl", "0.13",
+                   "--pc", "0.07"], ["out.csv"]),
+    "model-json": (["model", "--protocol", "sbft", "-n", "6", "-f", "1", "-c", "1",
+                    "--pl", "0.13", "--pc", "0.07", "--format", "json"], ["out.json"]),
+    "simulate": (["simulate", "--protocol", "zyzzyva", "-n", "4", "-f", "1", "--pl", "0.1",
+                  "--pc", "0.05", "--requests", "300", "--seed", "7"], ["out.csv", "log.csv"]),
+    "analyze-sweep": (["analyze", "sweep", "--protocol", "pbft", "--n-values", "4,7",
+                       "--pl-values", "0,0.1", "--pc-values", "0.05", "--threshold", "liveness"],
+                      ["out.csv"]),
+    "analyze-gradient": (["analyze", "gradient", "--protocol", "pbft", "-n", "7", "-f", "2",
+                          "--pl-values", "0.1,0.2", "--pc-values", "0.05",
+                          "--threshold", "liveness"], ["out.csv"]),
+    "validate": (["validate", "--protocol", "pbft", "-n", "4", "-f", "1", "--pl", "0.1",
+                  "--pc", "0.05", "--requests", "300", "--seed", "5"], ["out.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_manifest_replays_through_config(tmp_path, capsys, case):
+    argv, names = REPLAY_CASES[case]
+    words = argv[:2] if argv[0] == "analyze" else argv[:1]
+
+    def run(directory, args):
+        directory.mkdir()
+        paths = [directory / name for name in names]
+        flags = ["--output", str(paths[0])] + (["--record", str(paths[1])] if names[1:] else [])
+        assert main(args + flags) == EXIT_OK
+        return paths
+
+    first = run(tmp_path / "first", argv)
+    manifest = json.loads(Path(f"{first[0]}.manifest.json").read_text())
+    assert manifest["subcommand"] == "-".join(words)
+    cfg = tmp_path / "replay.json"
+    cfg.write_text(json.dumps(manifest["parameters"]))
+    again = run(tmp_path / "again", words + ["--config", str(cfg)])
+    for a, b in zip(first, again):
+        assert a.read_bytes() == b.read_bytes()
+        replayed = json.loads(Path(f"{b}.manifest.json").read_text())
+        assert replayed["parameters"] == manifest["parameters"]
