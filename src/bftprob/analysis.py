@@ -6,13 +6,14 @@ cheap enough to evaluate over grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .prob import DomainError, FailureParams, binom_pmf, normal_quantile
+from .prob import DomainError, FailureParams, _check_prob, binom_ranges, normal_quantile
 from .protocols import PROTOCOLS, SBFT, PhaseTrace, ProtocolConfig, model_trace
 
 __all__ = [
@@ -62,24 +63,55 @@ def stability_crossing(config: ProtocolConfig, p_c: float = 0.0,
                        phases: Sequence[str] = ("N1", "N2")) -> float:
     """Link failure rate where p_l meets the tightest chained boundary.
 
-    Solves p = min_i boundary_i(E[N_{i-1}](p)) by bisection; to the left the
-    expected losses cannot defeat any quorum phase, to the right they can.
+    Solves p = min_i boundary_i(E[N_{i-1}](p)) on [1e-9, 1 - 1e-9]; to the
+    left the expected losses cannot defeat any quorum phase, to the right
+    they can.  0.0 means the boundary is already crossed at 1e-9, 1.0 that
+    it is never crossed.  The root is found by Illinois false position
+    (Dowell & Jarratt 1971), with a bisection step whenever two steps in a
+    row fail to halve the bracket, until the bracket is within 4 ulp: 9-16
+    model evaluations for the PBFT crossings with n <= 100.
     """
     def gap(pl: float) -> float:
         trace = model_trace(config, FailureParams(pl, p_c))
         return min(chained_boundaries(trace, phases).values()) - pl
 
     lo, hi = 1e-9, 1.0 - 1e-9
-    if gap(lo) <= 0.0:
+    g_lo = gap(lo)
+    if g_lo <= 0.0:
         return 0.0
-    if gap(hi) >= 0.0:
+    g_hi = gap(hi)
+    if g_hi >= 0.0:
         return 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
+    # Invariant: g_lo > 0 > g_hi.  `side` is the end the last false-position
+    # step moved (+1 lo, -1 hi); bisection steps leave it alone.  Each
+    # false-position point is nudged one ulp toward the other end, so near
+    # the root, where gap is float noise, it tends to land past the root and
+    # the stale end moves in too.
+    side, misses, target = 0, 0, 0.5 * (hi - lo)
+    while hi - lo > 4.0 * math.ulp(hi):
+        x = (lo * g_hi - hi * g_lo) / (g_hi - g_lo) + side * math.ulp(hi)
+        false_position = misses < 2 and lo < x < hi
+        if not false_position:
+            x, misses = 0.5 * (lo + hi), 0
+        g = gap(x)
+        if g == 0.0:
+            return x
+        moved = 1 if g > 0.0 else -1
+        if moved > 0:
+            lo, g_lo = x, g
         else:
-            hi = mid
+            hi, g_hi = x, g
+        if false_position:
+            if moved == side:  # Illinois: the same end moved twice running
+                if side > 0:
+                    g_hi *= 0.5
+                else:
+                    g_lo *= 0.5
+            side = moved
+        if hi - lo <= target:
+            misses, target = 0, 0.5 * (hi - lo)
+        else:
+            misses += 1
     return 0.5 * (lo + hi)
 
 
@@ -103,8 +135,10 @@ class TimeoutEstimate:
 
 def timeout_for_boundary(mu: float, sigma: float, boundary_rate: float) -> TimeoutEstimate:
     """Translate a stability boundary into a timeout for normal delays."""
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(mu):
+        raise DomainError(f"mu must be finite, got {mu}")
+    if not 0.0 < sigma < math.inf:  # also rejects NaN
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
     if not 0.0 < boundary_rate < 1.0:
         raise DomainError(f"boundary_rate must lie in (0, 1), got {boundary_rate}")
     z_rate = normal_quantile(boundary_rate)
@@ -149,15 +183,16 @@ def quorum_success(n: int, p: float, k: int) -> float:
     """Exact probability that a quorum of k out of n incoming messages
     survives independent omission with probability p.
 
-    Computed as the probability of at most n-k omissions.  k beyond n means
-    the quorum is unreachable and yields 0.
+    Computed as the probability of at least k deliveries, each with
+    probability 1 - p.  k beyond n means the quorum is unreachable and
+    yields 0.
     """
+    _check_prob(p)
     if k < 0:
         raise DomainError(f"quorum size must be non-negative, got {k}")
     if k > n:
         return 0.0
-    total = float(sum(binom_pmf(n, p, i) for i in range(0, n - k + 1)))
-    return min(max(total, 0.0), 1.0)
+    return float(binom_ranges([n], 1.0 - p, k, n)[0])
 
 
 @dataclass(frozen=True)

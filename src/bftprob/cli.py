@@ -108,8 +108,18 @@ def _value_list(item: type):
     return convert
 
 
+def _fraction(value) -> float:
+    """A float in [0, 1]; NaN and anything outside raise ValueError."""
+    x = float(value)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"{x!r} is outside [0, 1]")
+    return x
+
+
+_fraction.__name__ = "fraction"
+
 # The JSON types a --config value may have, per converter.
-_JSON_TYPES = {int: int, float: (int, float), str: str}
+_JSON_TYPES = {int: int, float: (int, float), _fraction: (int, float), str: str}
 _int_list, _float_list = _value_list(int), _value_list(float)
 
 # name -> (flag, converter, argparse extras)
@@ -127,7 +137,7 @@ _PARAMS = {
     "seed": ("--seed", int, {}),
     "threshold": ("--threshold", str, {"choices": ("happy", "liveness")}),
     "step": ("--step", float, {}),
-    "min_coverage": ("--min-coverage", float, {}),
+    "min_coverage": ("--min-coverage", _fraction, {"help": "coverage floor in [0, 1]"}),
     "expected": ("--expected", float, {"help": "expected active count after the previous phase"}),
     "mu": ("--mu", float, {}),
     "sigma": ("--sigma", float, {}),

@@ -25,6 +25,7 @@ __all__ = [
     "binom_range",
     "binom_ranges",
     "binom_rows",
+    "table_ranges",
     "pmf_binomial",
     "normal_quantile",
 ]
@@ -74,9 +75,10 @@ class Pmf:
 
     Construction checks every entry against [0, 1] and the total against
     MASS_TOL (raising NormalizationError).  The protocol models chain raw
-    mass arrays through their kernel matrices and build a Pmf only for each
-    phase they emit, so every emitted phase, and every result of a public
-    operator, passes these checks while intermediates skip them.
+    mass arrays through their kernel matrices and validate each phase they
+    emit once, as `Pmf(mass).renormalized()`: every emitted phase, and every
+    result of a public operator, passes these checks while intermediates
+    skip them.
     """
 
     mass: np.ndarray
@@ -85,7 +87,7 @@ class Pmf:
         arr = np.array(self.mass, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("mass must be a non-empty 1-d array")
-        if np.any(arr < -_ENTRY_TOL) or np.any(arr > 1.0 + _ENTRY_TOL):
+        if (arr < -_ENTRY_TOL).any() or (arr > 1.0 + _ENTRY_TOL).any():
             raise DomainError("mass entries must lie in [0, 1]")
         total = float(arr.sum())
         if abs(total - 1.0) > MASS_TOL:
@@ -145,8 +147,16 @@ class Pmf:
         return Pmf(np.concatenate([np.zeros(offset), self.mass]))
 
     def renormalized(self) -> "Pmf":
-        """Scale out residual float drift (at most MASS_TOL by invariant)."""
-        return Pmf(np.asarray(self.mass) / float(self.mass.sum()))
+        """Scale out residual float drift (at most MASS_TOL by invariant).
+
+        The result is not validated again: every entry x is in [0, x_sum],
+        so x / x_sum lies in [0, 1], and the new sum is 1 to a few ulp.
+        """
+        mass = self.mass / float(self.mass.sum())
+        mass.flags.writeable = False
+        out = object.__new__(type(self))
+        object.__setattr__(out, "mass", mass)
+        return out
 
 
 # log(t!) for t < 2048, exactly as scipy.special.gammaln(t + 1.0) gives it,
@@ -209,10 +219,20 @@ def binom_rows(trials, p, width: int | None = None, start: int = 0) -> np.ndarra
     return rows
 
 
+def _window_sums(rows: np.ndarray, trials: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
+    """Entry i is P(k_lo <= Binomial(trials[i], p) <= k_hi), from rows[i],
+    that law's masses at counts k_lo..min(k_hi, max(trials)).  The clamping
+    is binom_range's: exactly 1 for a range covering every count, 0 for
+    k_lo past trials[i]."""
+    out = np.clip(rows.sum(axis=1), 0.0, 1.0)
+    if k_lo == 0:
+        out[trials <= k_hi] = 1.0
+    return out
+
+
 def binom_ranges(trials, p: float, k_lo: int, k_hi: int) -> np.ndarray:
     """binom_range vectorised over the trial count: entry i is
-    P(k_lo <= Binomial(trials[i], p) <= k_hi), with binom_range's clamping
-    (exactly 1 for a range covering every count, 0 for k_lo past trials[i])."""
+    P(k_lo <= Binomial(trials[i], p) <= k_hi), with binom_range's clamping."""
     trials = np.asarray(trials, dtype=np.intp)
     if trials.size and int(trials.min()) < 0:
         raise DomainError("trial counts must be non-negative")
@@ -222,10 +242,20 @@ def binom_ranges(trials, p: float, k_lo: int, k_hi: int) -> np.ndarray:
         raise DomainError(f"empty range [{k_lo}, {k_hi}]")
     _check_prob(p)
     rows = binom_rows(trials, p, width=min(k_hi, int(trials.max())) + 1, start=k_lo)
-    out = np.clip(rows.sum(axis=1), 0.0, 1.0)
-    if k_lo == 0:
-        out[trials <= k_hi] = 1.0
-    return out
+    return _window_sums(rows, trials, k_lo, k_hi)
+
+
+def table_ranges(table: np.ndarray, trials, k_lo: int, k_hi: int) -> np.ndarray:
+    """binom_ranges(trials, p, k_lo, k_hi) read from `table`, whose row t is
+    Binomial(t, p) over counts 0..len(table)-1, i.e. binom_rows(arange(top + 1), p).
+
+    Equal to binom_ranges bit for bit, since every entry is the same
+    elementwise log-space term.  A model builds one table per evaluation and
+    reads all its quorum rates on p from it.  Inputs are not validated.
+    """
+    trials = np.asarray(trials, dtype=np.intp)
+    rows = table[trials, k_lo : min(k_hi, int(trials.max())) + 1]
+    return _window_sums(rows, trials, k_lo, k_hi)
 
 
 def _binom_masses(n: int, p: float) -> np.ndarray:

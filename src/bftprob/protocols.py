@@ -9,9 +9,11 @@ trials with success 1 - p_l.
 
 Every step is a dense row-stochastic kernel matrix, built once per
 evaluation, and the step is `prior @ K` on raw mass arrays: binomial rows
-and vectorised quorum rates come from `prob.binom_rows` and
-`prob.binom_ranges`, crash steps use the cached `chain.thinning_matrix`.
-Only the phases a PhaseTrace emits become validated Pmfs.  Where a step
+come from `prob.binom_rows`, and crash steps use the cached
+`chain.thinning_matrix`.  Each evaluation builds one Binomial(t, 1 - p_l)
+table for t = 0..n; C_1 is a row of it, and every quorum rate on 1 - p_l is
+a window sum over its rows (`prob.table_ranges`).  Only the phases a
+PhaseTrace emits become validated Pmfs, once each.  Where a step
 conditions on two earlier phases (BFT-SMaRt's commit, SBFT's relay), the
 joint law is a matrix and the step is factored per value of one parent.
 
@@ -33,10 +35,9 @@ from .prob import (
     DomainError,
     FailureParams,
     Pmf,
-    _binom_masses,
-    binom_ranges,
     binom_rows,
     pmf_binomial,
+    table_ranges,
 )
 
 __all__ = [
@@ -175,9 +176,10 @@ def _require_protocol(config: ProtocolConfig, expected: str) -> None:
 
 
 def _finalize(phases: list[tuple[str, np.ndarray]]) -> tuple[tuple[str, Pmf], ...]:
-    # The chain runs on raw masses; each emitted phase is validated here
-    # (entry range, and drift beyond MASS_TOL raises NormalizationError)
-    # before the drift is scaled out, once, at the end of the full chain.
+    # The chain runs on raw masses; each emitted phase is validated here,
+    # once (entry range, and drift beyond MASS_TOL raises
+    # NormalizationError), before the drift is scaled out at the end of the
+    # full chain.
     return tuple((name, Pmf(mass).renormalized()) for name, mass in phases)
 
 
@@ -221,15 +223,16 @@ def pbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     pl, pc = fp.p_l, fp.p_c
     th = config.thresholds()
     q = 1.0 - pl
+    table = binom_rows(np.arange(n + 1), q)  # row t: Binomial(t, q)
     holders = np.arange(n)  # N_1 counts the n-1 non-primary replicas
 
-    c1 = _binom_masses(n - 1, q)
+    c1 = table[n - 1, :n]
     n1 = thin(c1, pc)
 
     # The primary needs 2f prepares out of the y broadcasters; every other
     # holder needs 2f-1 beyond its own, so neither can succeed for y < 2f.
-    primary = binom_ranges(holders, q, th["primary_prepare"], n)
-    p2 = binom_ranges(np.maximum(holders - 1, 0), q, max(th["prepare_from_others"], 0), n)
+    primary = table_ranges(table, holders, th["primary_prepare"], n)
+    p2 = table_ranges(table, np.maximum(holders - 1, 0), max(th["prepare_from_others"], 0), n)
     replicas = binom_rows(holders, p2)
     # C_2 counts the primary too: convolve each row with its quorum event.
     prepare = np.zeros((n, n + 1))
@@ -241,7 +244,7 @@ def pbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     # A node needs 2f commits beyond its own, impossible unless more than
     # 2f nodes are still broadcasting.
     senders = np.arange(n + 1)
-    p3 = binom_ranges(np.maximum(senders - 1, 0), q, th["commit_from_others"], n)
+    p3 = table_ranges(table, np.maximum(senders - 1, 0), th["commit_from_others"], n)
     c3 = n2 @ binom_rows(senders, p3)
     n3 = thin(c3, pc)
 
@@ -276,12 +279,13 @@ def smart_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     th = config.thresholds()
     q = 1.0 - pl
     counts = np.arange(n + 1)
+    table = binom_rows(counts, q)  # row t: Binomial(t, q)
 
-    c1 = _binom_masses(n - 1, q)
+    c1 = table[n - 1, :n]
     n1 = thin(c1, pc)
 
     # y broadcast holders plus the primary all collect from y writers.
-    p2 = binom_ranges(counts[:n], q, th["write_from_others"], n)
+    p2 = table_ranges(table, counts[:n], th["write_from_others"], n)
     write = binom_rows(counts[:n] + 1, p2)
     c2 = n1 @ write
     joint = n1[:, None] * thin(write, pc)  # P(N1 = y, N2 = m)
@@ -289,8 +293,8 @@ def smart_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
 
     # m commit broadcasters each finish with p_member(m); the other y+1-m
     # candidates may skip the write quorum by collecting 2f+1 full commits.
-    p_member = binom_ranges(np.maximum(counts - 1, 0), q, th["commit_from_others"], n)
-    p_skip = binom_ranges(counts, q, th["commit_skip"], n)
+    p_member = table_ranges(table, np.maximum(counts - 1, 0), th["commit_from_others"], n)
+    p_skip = table_ranges(table, counts, th["commit_skip"], n)
     members = binom_rows(counts, p_member)
     # Where p_skip(m) = 0 nobody skips, so C_3 mixes the member rows over
     # N_2 alone.  Elsewhere the y+1-m candidates have the law of column m of
@@ -336,13 +340,14 @@ def zyzzyva_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     q = 1.0 - pl
     client_up = 1.0 - pc
     counts = np.arange(n + 1)
+    table = binom_rows(counts, q)  # row t: Binomial(t, q)
 
-    c1 = np.concatenate([[0.0], _binom_masses(n - 1, q)])
+    c1 = np.concatenate([[0.0], table[n - 1, :n]])
     n1 = thin(c1, pc)
 
-    fast_quorum = float(n1 @ binom_ranges(counts, q, th["fast_quorum"], n))
+    fast_quorum = float(n1 @ table_ranges(table, counts, th["fast_quorum"], n))
     lo, hi = th["slow_quorum_lo"], th["slow_quorum_hi"]
-    slow_branch = float(n1 @ binom_ranges(counts, q, lo, hi)) if lo <= hi else 0.0
+    slow_branch = float(n1 @ table_ranges(table, counts, lo, hi)) if lo <= hi else 0.0
 
     fast = client_up * fast_quorum
     c2_fast = _bernoulli(fast)
@@ -350,11 +355,11 @@ def zyzzyva_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
 
     # Certificate broadcast: the client must also survive the send phase.
     cert = client_up * slow_branch * client_up
-    c3 = cert * _binom_masses(n, q)
+    c3 = cert * table[n]
     c3[0] += 1.0 - cert
     n3 = thin(c3, pc)
 
-    ack = float(n3 @ binom_ranges(counts, q, th["ack_quorum"], n))
+    ack = float(n3 @ table_ranges(table, counts, th["ack_quorum"], n))
     slow = ack * client_up
     c4 = _bernoulli(slow)
 
@@ -394,17 +399,18 @@ def sbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     m = th["collectors"]
     q = 1.0 - pl
     counts = np.arange(n + 1)
+    table = binom_rows(counts, q)  # row t: Binomial(t, q)
 
-    c1 = np.concatenate([[0.0], _binom_masses(n - 1, q)])
+    c1 = np.concatenate([[0.0], table[n - 1, :n]])
     n1 = thin(c1, pc)
 
     def collectors(p_each: np.ndarray) -> np.ndarray:
         """Row y: Binomial(m, p_each[y]) collectors succeed."""
         return binom_rows(np.full(len(p_each), m), p_each)
 
-    pf = binom_ranges(counts, q, th["fast_quorum"], n)
+    pf = table_ranges(table, counts, th["fast_quorum"], n)
     lo, hi = th["slow_quorum_lo"], th["slow_quorum_hi"]
-    ps = binom_ranges(counts, q, lo, hi) if lo <= hi else np.zeros(n + 1)
+    ps = table_ranges(table, counts, lo, hi) if lo <= hi else np.zeros(n + 1)
     pn = np.maximum(1.0 - pf - ps, 0.0)
 
     # Collector rebroadcast from j holders: they keep the certificate, and
@@ -414,11 +420,11 @@ def sbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     rebroadcast = np.zeros((m + 1, n + 1))
     for j in holders:
         rebroadcast[j, j:] = spread[j, : n + 1 - j]
-    fast_exec = collectors(binom_ranges(counts, q, th["fast_exec"], n))
-    slow_commit = collectors(binom_ranges(counts, q, th["slow_commit"], n))
+    fast_exec = collectors(table_ranges(table, counts, th["fast_exec"], n))
+    slow_commit = collectors(table_ranges(table, counts, th["slow_commit"], n))
     # A collector's own reply is free: f more from the other z-1.
     slow_exec = collectors(
-        binom_ranges(np.maximum(counts - 1, 0), q, th["slow_exec_from_others"], n)
+        table_ranges(table, np.maximum(counts - 1, 0), th["slow_exec_from_others"], n)
     )
     slow_exec[0] = 0.0
     slow_exec[0, 0] = 1.0

@@ -10,8 +10,13 @@ kernel-matrix core, so the test is an old-versus-new agreement check.
 Usage, from the repository root:
 
     PYTHONPATH=src python tests/make_model_golden.py [OUT]
+    PYTHONPATH=src python tests/make_model_golden.py --compare OTHER.npz
 
-OUT defaults to tests/data/model_golden.npz.
+OUT defaults to tests/data/model_golden.npz.  With --compare, the grid is
+evaluated and checked against OTHER (for instance a file written from
+another checkout's src): the worst absolute gap and the number of entries
+that are bit-identical are printed, and nothing is written.  The exit
+status is 1 if an entry is missing from either side or changes shape.
 """
 
 from __future__ import annotations
@@ -74,12 +79,30 @@ def load_golden(path: Path = DEFAULT_OUT) -> dict[str, np.ndarray]:
     return {str(name): values[lo:hi] for name, lo, hi in zip(names, bounds[:-1], bounds[1:])}
 
 
+def compare(entries: dict[str, np.ndarray], other: dict[str, np.ndarray]) -> int:
+    """Print how far `entries` are from `other`; 1 if their layouts differ."""
+    mismatched = sorted(set(entries) ^ set(other))
+    mismatched += [k for k in entries.keys() & other.keys() if entries[k].shape != other[k].shape]
+    common = [k for k in entries.keys() & other.keys() if entries[k].shape == other[k].shape]
+    worst = max((float(np.max(np.abs(entries[k] - other[k]))) for k in common), default=0.0)
+    identical = sum(entries[k].tobytes() == other[k].tobytes() for k in common)
+    print(f"worst absolute gap {worst:.3g}; {identical} of {len(entries)} entries bit-identical")
+    for key in mismatched:
+        print(f"layout differs: {key}")
+    return 1 if mismatched else 0
+
+
 def main(argv: list[str]) -> int:
-    out_path = Path(argv[0]) if argv else DEFAULT_OUT
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     entries: dict[str, np.ndarray] = {}
     for case in golden_cases():
         entries.update(golden_entries(evaluate(*case), case_key(*case)))
+    if argv[:1] == ["--compare"]:
+        if len(argv) != 2:
+            print("usage: make_model_golden.py --compare OTHER.npz", file=sys.stderr)
+            return 2
+        return compare(entries, load_golden(Path(argv[1])))
+    out_path = Path(argv[0]) if argv else DEFAULT_OUT
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     # Three flat arrays rather than one npz member per entry: thousands of
     # small members would cost more in zip headers than in data.
     bounds = np.cumsum([0] + [len(v) for v in entries.values()])

@@ -68,3 +68,31 @@ def pbft_no_links_enumeration(n: int, f: int, p_c: float):
             marginals["C3"][len(c3)] += weight
             marginals["N3"][len(n3)] += weight
     return marginals
+
+
+def bisection_crossing(config, p_c: float, phases=("N1", "N2")) -> float:
+    """stability_crossing by 60 bisection steps on [1e-9, 1 - 1e-9].
+
+    The solver stability_crossing used before its false-position search,
+    kept as the reference root: each step halves the bracket around the
+    sign change of min_i boundary_i(E[N_{i-1}](p_l)) - p_l.
+    """
+    from bftprob import FailureParams, model_trace
+    from bftprob.analysis import chained_boundaries
+
+    def gap(pl: float) -> float:
+        trace = model_trace(config, FailureParams(pl, p_c))
+        return min(chained_boundaries(trace, phases).values()) - pl
+
+    lo, hi = 1e-9, 1.0 - 1e-9
+    if gap(lo) <= 0.0:
+        return 0.0
+    if gap(hi) >= 0.0:
+        return 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

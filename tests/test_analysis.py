@@ -5,6 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import bisection_crossing
+
+import bftprob.analysis as analysis
 from bftprob import (
     DomainError,
     FailureParams,
@@ -62,6 +65,51 @@ class TestStabilityBoundary:
         assert min(chained_boundaries(trace).values()) == pytest.approx(b, abs=1e-6)
 
 
+CROSSING_N = (4, 7, 10, 13, 25, 31, 100)
+CROSSING_PC = (0.0, 0.005, 0.01, 0.03, 0.05, 0.07, 0.1)
+
+
+class TestCrossingSolver:
+    """stability_crossing's false-position search against 60-step bisection."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        inner = analysis.model_trace
+
+        def counted(config, fp):
+            calls.append(fp.p_l)
+            return inner(config, fp)
+
+        monkeypatch.setattr(analysis, "model_trace", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", CROSSING_N)
+    def test_matches_bisection(self, evaluations, n):
+        config = ProtocolConfig("pbft", n, (n - 1) // 3)
+        for p_c in CROSSING_PC:
+            evaluations.clear()
+            got = stability_crossing(config, p_c)
+            assert len(evaluations) <= 16, (p_c, len(evaluations))
+            assert 0.0 < got < 1.0
+            assert abs(got - bisection_crossing(config, p_c)) <= 1e-12
+
+    def test_already_crossed_returns_zero(self, evaluations):
+        # E[N1] < 1 at p_c = 0.9, so every chained boundary is 0.
+        config = ProtocolConfig("pbft", 4, 1)
+        assert stability_crossing(config, 0.9) == 0.0
+        assert bisection_crossing(config, 0.9) == 0.0
+        assert evaluations == [1e-9]
+
+    def test_never_crossed_returns_one(self, evaluations):
+        # Zyzzyva's C1 holds the primary, so E[C1] stays just above 1 as
+        # p_l -> 1 and its boundary grows without bound.
+        config = ProtocolConfig("zyzzyva", 4, 1)
+        assert stability_crossing(config, 0.0, phases=("C1",)) == 1.0
+        assert bisection_crossing(config, 0.0, phases=("C1",)) == 1.0
+        assert evaluations == [1e-9, 1.0 - 1e-9]
+
+
 class TestTimeout:
     def test_median_is_mu(self):
         est = timeout_for_boundary(100.0, 10.0, 0.5)
@@ -82,6 +130,13 @@ class TestTimeout:
             timeout_for_boundary(100.0, 0.0, 0.1)
         with pytest.raises(DomainError):
             timeout_for_boundary(100.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("mu, sigma", [(100.0, float("nan")), (100.0, float("inf")),
+                                           (float("nan"), 10.0), (float("inf"), 10.0),
+                                           (float("-inf"), 10.0)])
+    def test_non_finite_rejected(self, mu, sigma):
+        with pytest.raises(DomainError):
+            timeout_for_boundary(mu, sigma, 0.1)
 
 
 class TestQuorumAsymptote:

@@ -263,6 +263,39 @@ class TestTypedInput:
                 "--pl-values", "0.1", "--pc-values", "0"]
         assert "--n-values" in _usage_error(argv, capsys)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--mu", "nan"), ("--mu", "inf"), ("--mu", "-inf"), ("--sigma", "nan"), ("--sigma", "inf"),
+    ])
+    def test_non_finite_timeout_inputs(self, capsys, flag, value):
+        values = {"--mu": "100", "--sigma": "10", flag: value}
+        argv = ["analyze", "timeout", *(f"{k}={v}" for k, v in values.items()), "--rate", "0.1"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "7", "-0.1"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_min_coverage_outside_unit_interval(self, tmp_path, capsys, monkeypatch, value, via):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("campaign ran")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        argv = ["validate", "--protocol", "pbft", "-n", "4", "-f", "1", "--pl", "0.1",
+                "--pc", "0", "--requests", "8", "--seed", "1"]
+        if via == "flag":
+            argv += ["--min-coverage", value]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"min_coverage": float(value)}))
+            argv += ["--config", str(cfg)]
+        assert "min" in _usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("value", ["0", "0.5", "1"])
+    def test_min_coverage_bounds_accepted(self, value):
+        argv = ["validate", "--protocol", "pbft", "-n", "4", "-f", "1", "--pl", "0.1",
+                "--pc", "0", "--requests", "8", "--seed", "1", "--min-coverage", value]
+        assert main(argv) in (EXIT_OK, EXIT_COVERAGE)
+
     def test_list_forms_agree(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         outputs = []

@@ -3,6 +3,8 @@
 Each example starts from a valid argv for one subcommand and replaces up to
 three of its values, either on the command line or through a --config file.
 Anything `main` raises other than SystemExit with code 0 or 2 fails the test.
+An argv that gives --min-coverage, --mu or --sigma a value outside its
+domain must exit 2.
 Replica counts stay at most 13 and campaigns at most 64 requests, so every
 example is cheap.
 """
@@ -49,6 +51,12 @@ SIZED = {
     "--requests": st.integers(-2, 64).map(str),
 }
 ANY_TEXT = st.one_of(st.sampled_from(JUNK), st.text("0123456789.,-+eEnaifx ", max_size=8))
+# Flags whose values must be finite or within [0, 1]: edge values are drawn
+# for them as often as any other text.
+EDGE = {flag: st.sampled_from(["nan", "inf", "1.5"]) for flag in ("--min-coverage", "--mu", "--sigma")}
+# (flag, value) pairs that must exit 2 whatever else the argv holds.
+REJECTED = {("--min-coverage", v) for v in ("nan", "inf", "1.5")} | {
+    (flag, v) for flag in ("--mu", "--sigma") for v in ("nan", "inf")}
 
 # Any JSON value, kept small: integers up to 13 and strings of at most two
 # characters, so no count that passes the type check is large.
@@ -72,6 +80,8 @@ def _run(argv: list[str]) -> int:
 def _flag_values(flag: str):
     if flag in SIZED:
         return st.one_of(SIZED[flag], st.sampled_from(JUNK))
+    if flag in EDGE:
+        return st.one_of(EDGE[flag], ANY_TEXT)
     return ANY_TEXT
 
 
@@ -97,7 +107,10 @@ def fuzzed_config(draw):
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(fuzzed_argv())
 def test_fuzzed_flags_exit_cleanly(argv):
-    assert _run(argv) in EXIT_CODES
+    code = _run(argv)
+    assert code in EXIT_CODES
+    if REJECTED & set(zip(argv, argv[1:])):
+        assert code == 2
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,

@@ -19,7 +19,7 @@ from bftprob import (
     normal_quantile,
     pmf_binomial,
 )
-from bftprob.prob import LOG_FACTORIAL_FILE, MASS_TOL, binom_ranges, binom_rows
+from bftprob.prob import LOG_FACTORIAL_FILE, MASS_TOL, binom_ranges, binom_rows, table_ranges
 
 
 def exact_binom(n: int, p: Fraction, k: int) -> Fraction:
@@ -194,6 +194,26 @@ class TestBinomRanges:
             binom_ranges(np.array([-2, 1]), 0.5, 0, 1)
         with pytest.raises(DomainError):
             binom_ranges(np.arange(4), 1.5, 0, 1)
+
+
+class TestTableRanges:
+    @pytest.mark.parametrize("q", [0.0, 1.0, 0.3])
+    def test_bit_identical_to_binom_ranges(self, q):
+        # Every window with t <= 40, over the trial vectors the models use:
+        # all counts, counts less one (floored at 0), and a shorter prefix.
+        table = binom_rows(np.arange(41), q)
+        counts = np.arange(41)
+        for trials in (counts, np.maximum(counts - 1, 0), counts[:17]):
+            for k_lo in range(43):
+                for k_hi in range(k_lo, 43):
+                    got = table_ranges(table, trials, k_lo, k_hi)
+                    expected = binom_ranges(trials, q, k_lo, k_hi)
+                    assert got.tobytes() == expected.tobytes(), (k_lo, k_hi)
+
+    def test_rows_are_binom_rows(self):
+        table = binom_rows(np.arange(41), 0.3)
+        for t in range(41):
+            assert table[t, : t + 1].tobytes() == binom_rows([t], 0.3)[0].tobytes()
 
 
 class TestPmfBinomial:

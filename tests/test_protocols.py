@@ -19,6 +19,8 @@ from bftprob import (
     zyzzyva_model,
 )
 from bftprob.chain import thinning_matrix
+from bftprob.prob import MASS_TOL, NormalizationError, Pmf
+from bftprob.protocols import _finalize
 
 
 class TestProtocolConfig:
@@ -312,3 +314,36 @@ class TestTraceInterface:
     def test_dispatch(self):
         trace = model_trace(ProtocolConfig("zyzzyva", 4, 1), FailureParams(0.0, 0.0))
         assert trace.config.protocol == "zyzzyva"
+
+
+class TestFinalize:
+    """_finalize validates each phase once, then scales out its drift."""
+
+    @staticmethod
+    def _twice_validated(mass):
+        # Reference: validate, then scale and validate the result again.
+        pmf = Pmf(mass)
+        return Pmf(np.asarray(pmf.mass) / float(pmf.mass.sum())).mass
+
+    @pytest.mark.parametrize("drift", [-0.999 * MASS_TOL, -3e-13, 0.0, 1e-16, 0.999 * MASS_TOL])
+    def test_same_bytes_as_two_validations(self, drift):
+        rng = np.random.default_rng(7)
+        masses = [rng.dirichlet(np.ones(k)) * (1.0 + drift) for k in (2, 5, 40, 302)]
+        # Entries within 1e-12 of [0, 1] are clipped into it first.
+        masses += [np.array([0.0, 1.0 + 1e-13, 0.0]), np.array([-1e-13, 0.5, 0.5 + drift])]
+        phases = [(f"P{i}", mass) for i, mass in enumerate(masses)]
+        for (name, pmf), (_, mass) in zip(_finalize(phases), phases):
+            assert pmf.mass.tobytes() == self._twice_validated(mass).tobytes(), name
+            assert not pmf.mass.flags.writeable
+
+    def test_drift_past_tolerance_raises(self):
+        with pytest.raises(NormalizationError):
+            _finalize([("N1", np.array([0.5, 0.5]) * (1.0 + 2 * MASS_TOL))])
+        with pytest.raises(NormalizationError):
+            _finalize([("N1", np.array([0.5, 0.5]) * (1.0 - 2 * MASS_TOL))])
+
+    def test_out_of_range_entry_raises(self):
+        with pytest.raises(DomainError):
+            _finalize([("N1", np.array([-0.1, 1.1]))])
+        with pytest.raises(DomainError):
+            _finalize([("N1", np.array([0.0, 1.0])), ("N2", np.array([1.5, -0.5]))])
