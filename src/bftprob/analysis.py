@@ -36,8 +36,11 @@ def stability_boundary(f: int, n: int, expected_prev: float) -> float:
     """Failure rate past which expected link losses can defeat a quorum phase.
 
     ((f+1) - (n - E))^2 / (E (E - 1)) with E the expected number of nodes
-    still active after the previous phase.
+    still active after the previous phase.  f must be an integer with
+    0 <= f and 3f+1 <= n.
     """
+    if isinstance(f, bool) or not isinstance(f, (int, np.integer)) or f < 0 or 3 * f + 1 > n:
+        raise DomainError(f"f must be an integer with 0 <= f and 3f+1 <= n={n}, got {f!r}")
     if not expected_prev > 1.0:  # also rejects NaN
         raise DomainError(f"expected_prev must exceed 1, got {expected_prev}")
     if expected_prev > n:
@@ -298,8 +301,8 @@ class GradientField:
 def _difference_grid(value, p_c_values, p_l_values, step: float) -> GradientField:
     """Central differences of value(p_l, p_c) over the grid, one-sided where
     p +/- step would leave [0, 1]."""
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:  # also rejects NaN
+        raise DomainError(f"step must be finite and positive, got {step}")
 
     def diff(p_l: float, p_c: float, which: str) -> float:
         p = p_c if which == "p_c" else p_l

@@ -18,7 +18,10 @@ is an error.
 
 Every run that writes an output file also writes `<output>.manifest.json`
 recording the subcommand, the resolved parameters (all but the output
-paths), the tool version, and a sha256 of the payload.  A manifest's
+paths), the tool version, and a sha256 of the payload, hashed in 1 MiB
+blocks so that no file is read whole.  `simulate --record` writes its
+per-request, per-replica log as bytes assembled from uint8 tables, in
+slices of whole requests that bound its buffers to a few MB.  A manifest's
 `parameters` is a valid `--config` for its subcommand: rerunning with it and
 output paths writes byte-identical files.  Probabilities serialize with 17
 significant digits (lossless for float64).
@@ -73,14 +76,17 @@ def _csv(rows: list[list]) -> str:
 
 
 def _write_manifest(path: str, subcommand: str, params: dict) -> None:
-    payload = Path(path).read_bytes()
+    digest = hashlib.sha256()
+    with open(path, "rb") as payload:
+        for block in iter(lambda: payload.read(1 << 20), b""):
+            digest.update(block)
     manifest = {
         "subcommand": subcommand,
         "parameters": {k: params[k] for k in sorted(params) if k not in ("output", "record")},
         "seed": params.get("seed"),
         "version": __version__,
         "output": Path(path).name,
-        "sha256": hashlib.sha256(payload).hexdigest(),
+        "sha256": digest.hexdigest(),
     }
     Path(str(path) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -172,26 +178,60 @@ def _cmd_model(p: dict) -> int:
     return EXIT_OK
 
 
+# Rows per formatting slice of `_record_writer`: bounds its transient
+# buffers to a few MB whatever the replica count.
+_SLICE_ROWS = 1 << 17
+
+
+def _byte_table(strings: list[str]) -> np.ndarray:
+    """One uint8 row of ASCII bytes per string, NUL-padded to the longest."""
+    encoded = [s.encode() for s in strings]
+    table = np.zeros((len(encoded), max(map(len, encoded))), dtype=np.uint8)
+    for row, text in zip(table, encoded):
+        row[: len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return table
+
+
+def _digit_columns(lo: int, hi: int) -> np.ndarray:
+    """ASCII digits of lo .. hi-1, one row each, leading zeros as NUL."""
+    ids = np.arange(lo, hi, dtype=np.int64)[:, None]
+    powers = 10 ** np.arange(len(str(hi - 1)) - 1, -1, -1, dtype=np.int64)
+    digits = (ids // powers % 10 + ord("0")).astype(np.uint8)
+    digits[:, :-1][ids < powers[:-1]] = 0
+    return digits
+
+
 def _record_writer(log):
     """Record sink that appends each chunk's per-replica rows to `log`.
 
-    Everything in a row after "request,replica," depends only on (phase,
-    crash step, path), so each chunk formats those suffixes once and looks
-    them up by code.
+    `log` is a binary file.  Every byte of a row after "request,replica"
+    depends only on (phase, crash step, path), so each chunk encodes those
+    suffixes once as a NUL-padded uint8 table and looks them up by code.
+    Rows are assembled in slices of whole requests, at most `_SLICE_ROWS`
+    rows each: request-id digits, the replica's ",{r}" and the gathered
+    suffix fill a (requests, n, width) byte buffer, whose non-NUL bytes are
+    the rows in order.
     """
 
     def sink(start: int, res, valid: int) -> None:
-        highest, crash, path = res.highest[:valid], res.crash[:valid], res.path[:valid]
-        steps = int(crash.max(initial=-1)) + 2  # crash steps -1 (none) .. max
-        table = [f"{phase},{step if step >= 0 else ''},{name}\n"
-                 for phase in res.phase_names for step in range(-1, steps - 1)
-                 for name in PATH_NAMES]
-        codes = (highest.astype(np.int64) * steps + crash + 1) * len(PATH_NAMES) + path[:, None]
-        log.write("".join([
-            f"{rid},{replica},{table[code]}"
-            for rid, row in enumerate(codes.tolist(), start)
-            for replica, code in enumerate(row)
-        ]))
+        n = res.highest.shape[1]
+        steps = int(res.crash[:valid].max(initial=-1)) + 2  # crash steps -1 (none) .. max
+        suffixes = _byte_table([f",{phase},{step if step >= 0 else ''},{name}\n"
+                                for phase in res.phase_names for step in range(-1, steps - 1)
+                                for name in PATH_NAMES])
+        replicas = _byte_table([f",{r}" for r in range(n)])
+        per_slice = max(1, _SLICE_ROWS // n)
+        for lo in range(0, valid, per_slice):
+            hi = min(lo + per_slice, valid)
+            codes = ((res.highest[lo:hi].astype(np.intp) * steps + res.crash[lo:hi] + 1)
+                     * len(PATH_NAMES) + res.path[lo:hi, None])
+            ids = _digit_columns(start + lo, start + hi)
+            d, r = ids.shape[1], replicas.shape[1]
+            buf = np.empty((hi - lo, n, d + r + suffixes.shape[1]), dtype=np.uint8)
+            buf[:, :, :d] = ids[:, None]
+            buf[:, :, d : d + r] = replicas
+            buf[:, :, d + r :] = np.take(suffixes, codes, axis=0)
+            log.write(buf[buf != 0])
 
     return sink
 
@@ -205,8 +245,8 @@ def _cmd_simulate(p: dict) -> int:
         # partial log and leaves any earlier log and manifest as they were.
         partial = f"{p['record']}.{os.getpid()}.partial"
         try:
-            with open(partial, "w") as log:
-                log.write("request_id,replica,phase_reached,crash_phase,path\n")
+            with open(partial, "wb") as log:
+                log.write(b"request_id,replica,phase_reached,crash_phase,path\n")
                 stats = run_campaign(sim, record_sink=_record_writer(log))
             os.replace(partial, p["record"])
         finally:

@@ -1,7 +1,9 @@
 """Brute-force enumeration oracles shared by the unit and acceptance tests.
 
 These deliberately reconstruct distributions from raw coin patterns rather
-than through the library's composition operators.
+than through the library's composition operators.  `record_writer_reference`
+is the per-row text formatter `simulate --record` used before its byte
+tables, kept as the reference for the log's bytes.
 """
 
 import itertools
@@ -96,3 +98,27 @@ def bisection_crossing(config, p_c: float, phases=("N1", "N2")) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def record_writer_reference(log):
+    """Record sink that appends each chunk's per-replica rows to the text file `log`.
+
+    One f-string per row; the suffix after "request,replica," is looked up
+    by (phase, crash step, path) code.
+    """
+    from bftprob.sim import PATH_NAMES
+
+    def sink(start: int, res, valid: int) -> None:
+        highest, crash, path = res.highest[:valid], res.crash[:valid], res.path[:valid]
+        steps = int(crash.max(initial=-1)) + 2  # crash steps -1 (none) .. max
+        table = [f"{phase},{step if step >= 0 else ''},{name}\n"
+                 for phase in res.phase_names for step in range(-1, steps - 1)
+                 for name in PATH_NAMES]
+        codes = (highest.astype(np.int64) * steps + crash + 1) * len(PATH_NAMES) + path[:, None]
+        log.write("".join([
+            f"{rid},{replica},{table[code]}"
+            for rid, row in enumerate(codes.tolist(), start)
+            for replica, code in enumerate(row)
+        ]))
+
+    return sink

@@ -1,5 +1,6 @@
 """Stability, timeout, asymptote, sweep, and gradient tools."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,16 @@ class TestStabilityBoundary:
     def test_nan_expected_rejected(self):
         with pytest.raises(DomainError, match="nan"):
             stability_boundary(1, 4, float("nan"))
+
+    @pytest.mark.parametrize("f", [100, -5, -1, 2, 1.0, 1.5, True])
+    def test_fault_budget_outside_domain(self, f):
+        # n=4 admits f in {0, 1}: a non-negative integer with 3f+1 <= n.
+        with pytest.raises(DomainError, match="f must be"):
+            stability_boundary(f, 4, 3.0)
+
+    def test_fault_budget_edges_accepted(self):
+        assert stability_boundary(0, 4, 3.0) == 0.0
+        assert stability_boundary(np.int64(1), 4, 3.0) == pytest.approx(1 / 6, abs=1e-15)
 
     def test_chained_from_trace(self):
         trace = pbft_model(ProtocolConfig("pbft", 25, 8), FailureParams(0.0, 0.0))
@@ -270,6 +281,17 @@ class TestGradientField:
         grid = SweepGrid("pbft", (0.1,), (0.1,), n=4, f=1)
         with pytest.raises(DomainError):
             gradient_field(grid, step=0.0)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, -math.inf])
+    def test_non_finite_step(self, step):
+        def value(p_l, p_c):
+            raise AssertionError("model evaluated")
+
+        with pytest.raises(DomainError, match="step"):
+            _difference_grid(value, (0.05,), (0.1,), step)
+        grid = SweepGrid("pbft", (0.1,), (0.05,), n=4, f=1)
+        with pytest.raises(DomainError, match="step"):
+            gradient_field(grid, step=step)
 
     def test_needs_single_n(self):
         grid = SweepGrid("pbft", (0.1,), (0.1,), n_values=(4, 7))

@@ -127,6 +127,21 @@ class TestAnalyzeCommand:
         assert main(["analyze", "boundary", "-n", "25", "-f", "8", "--expected", "25"]) == EXIT_OK
         assert "rate=0.135" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("f", ["100", "-5"])
+    def test_boundary_fault_budget_outside_domain(self, capsys, f):
+        argv = ["analyze", "boundary", "-n", "4", f"-f={f}", "--expected", "3"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "error: f must be" in err
+
+    @pytest.mark.parametrize("step", ["inf", "nan", "-inf"])
+    def test_gradient_non_finite_step(self, capsys, step):
+        argv = ["analyze", "gradient", "--protocol", "pbft", "-n", "4", "-f", "1",
+                "--pl-values", "0.1", "--pc-values", "0.05", f"--step={step}"]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "error: step must be" in err
+
     def test_timeout_both_conventions(self, capsys):
         main(["analyze", "timeout", "--mu", "100", "--sigma", "10", "--rate", "0.1"])
         out = capsys.readouterr().out

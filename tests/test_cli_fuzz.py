@@ -3,8 +3,8 @@
 Each example starts from a valid argv for one subcommand and replaces up to
 three of its values, either on the command line or through a --config file.
 Anything `main` raises other than SystemExit with code 0 or 2 fails the test.
-An argv that gives --min-coverage, --mu or --sigma a value outside its
-domain must exit 2.
+An argv that gives --min-coverage, --mu, --sigma or --step a value outside
+its domain, or -f a fault budget no replica count here admits, must exit 2.
 Replica counts stay at most 13 and campaigns at most 64 requests, so every
 example is cheap.
 """
@@ -51,12 +51,15 @@ SIZED = {
     "--requests": st.integers(-2, 64).map(str),
 }
 ANY_TEXT = st.one_of(st.sampled_from(JUNK), st.text("0123456789.,-+eEnaifx ", max_size=8))
-# Flags whose values must be finite or within [0, 1]: edge values are drawn
-# for them as often as any other text.
+# Flags whose values must be finite, within [0, 1] or, for -f, within
+# 0 <= 3f+1 <= n: edge values are drawn for them as often as any other text.
 EDGE = {flag: st.sampled_from(["nan", "inf", "1.5"]) for flag in ("--min-coverage", "--mu", "--sigma")}
+EDGE["--step"] = st.sampled_from(["nan", "inf"])
+EDGE["-f"] = st.sampled_from(["-5", "100"])
 # (flag, value) pairs that must exit 2 whatever else the argv holds.
 REJECTED = {("--min-coverage", v) for v in ("nan", "inf", "1.5")} | {
-    (flag, v) for flag in ("--mu", "--sigma") for v in ("nan", "inf")}
+    (flag, v) for flag in ("--mu", "--sigma", "--step") for v in ("nan", "inf")} | {
+    ("-f", v) for v in ("-5", "100")}
 
 # Any JSON value, kept small: integers up to 13 and strings of at most two
 # characters, so no count that passes the type check is large.
