@@ -20,7 +20,6 @@ from .analysis import (
 )
 from .chain import (
     JointDistribution,
-    bernoulli_convolve,
     convolve,
     crash_step,
     joint_via_kernel,
@@ -32,7 +31,6 @@ from .prob import (
     FailureParams,
     NormalizationError,
     Pmf,
-    binom_pmf,
     binom_range,
     normal_quantile,
     pmf_binomial,
@@ -50,7 +48,6 @@ from .protocols import (
     pbft_model,
     sbft_model,
     smart_model,
-    success_probability,
     zyzzyva_model,
 )
 from .sim import (
@@ -64,4 +61,4 @@ from .sim import (
     validate_model,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -5,10 +5,12 @@ next count given count y), applied as `prior @ K`.  The crash step's K is
 the binomial thinning matrix, cached per (support_max, p_c); the models
 build their link-loss kernels with `prob.binom_rows`.
 
-The closure-based operators stay public API, though the models no longer
-call them: `total_probability`, `joint_via_kernel` and
-`total_probability_joint` evaluate a Kernel (any callable from a count to
-a Pmf) once per count with nonzero prior mass.
+The closure-based operators `total_probability`, `joint_via_kernel`,
+`total_probability_joint` and `convolve` have no caller in the package.
+They are kept, with the `Kernel`, `Kernel2` and `JointDistribution` types of
+their signatures, only because the benchmark's tracer
+(`benchmarks/tracing.py`) binds them by name.  Each evaluates a Kernel (any
+callable from a count to a Pmf) once per count with nonzero prior mass.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "joint_via_kernel",
     "total_probability_joint",
     "convolve",
-    "bernoulli_convolve",
 ]
 
 Kernel = Callable[[int], Pmf]
@@ -56,12 +57,6 @@ class JointDistribution:
         np.clip(arr, 0.0, 1.0, out=arr)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-
-    def marginal_y(self) -> Pmf:
-        return Pmf(self.probs.sum(axis=1))
-
-    def marginal_z(self) -> Pmf:
-        return Pmf(self.probs.sum(axis=0))
 
 
 @lru_cache(maxsize=8)
@@ -154,9 +149,3 @@ def total_probability_joint(kernel2: Kernel2, joint: JointDistribution) -> Pmf:
 def convolve(a: Pmf, b: Pmf) -> Pmf:
     """Distribution of the sum of two independent counts."""
     return Pmf(np.convolve(a.mass, b.mass))
-
-
-def bernoulli_convolve(base: Pmf, p_extra: float) -> Pmf:
-    """Add an independent Bernoulli(p_extra) participant to a count."""
-    _check_prob(p_extra, "p_extra")
-    return Pmf(np.convolve(base.mass, np.array([1.0 - p_extra, p_extra])))

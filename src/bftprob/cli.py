@@ -53,7 +53,7 @@ from .analysis import (
 )
 from .prob import DomainError, FailureParams, NormalizationError
 from .protocols import PROTOCOLS, ProtocolConfig, model_trace
-from .sim import PATH_NAMES, SimConfig, compare_to_model, run_campaign
+from .sim import PATH_NAMES, SimConfig, run_campaign, validate_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -329,8 +329,8 @@ def _cmd_validate(p: dict) -> int:
              "phase", "predicted", "observed", "ci_lo", "ci_hi", "covered"]]
     for p_c in pc_values:
         for p_l in pl_values:
-            sim = SimConfig(cfg, FailureParams(p_l, p_c), p["requests"], p["seed"])
-            check = compare_to_model(run_campaign(sim), model_trace(cfg, sim.failures))
+            check = validate_model(SimConfig(cfg, FailureParams(p_l, p_c),
+                                             p["requests"], p["seed"]))
             rows += [[cfg.protocol, cfg.n, cfg.f, cfg.c, p_l, p_c, p["requests"], p["seed"],
                       r.name, r.predicted, r.observed, r.ci_lo, r.ci_hi, int(r.covered)]
                      for r in check.rows]

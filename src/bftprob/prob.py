@@ -2,8 +2,10 @@
 
 Everything downstream (phase chaining, protocol models, analysis) is built on
 the helpers here.  Binomial terms are evaluated in log space, so replica
-counts up to ~1,000 neither overflow nor underflow to zero prematurely; no
-arbitrary-precision arithmetic is used or needed.
+counts up to the 1,000 that `ProtocolConfig` admits neither overflow nor
+underflow to zero prematurely; no arbitrary-precision arithmetic is used or
+needed.  One path computes binomial masses, `binom_rows`; every range
+probability is a window sum over its rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "NormalizationError",
     "FailureParams",
     "Pmf",
-    "binom_pmf",
     "binom_range",
     "binom_ranges",
     "binom_rows",
@@ -128,24 +129,6 @@ class Pmf:
     def mean(self) -> float:
         return float(np.arange(len(self.mass)) @ self.mass)
 
-    def padded(self, support_max: int) -> "Pmf":
-        """Extend the support with zero mass up to support_max."""
-        if support_max < self.support_max:
-            raise DomainError("cannot pad to a smaller support")
-        if support_max == self.support_max:
-            return self
-        mass = np.zeros(support_max + 1)
-        mass[: len(self.mass)] = self.mass
-        return Pmf(mass)
-
-    def shifted(self, offset: int) -> "Pmf":
-        """Shift the support right by a non-negative offset."""
-        if offset < 0:
-            raise DomainError("offset must be non-negative")
-        if offset == 0:
-            return self
-        return Pmf(np.concatenate([np.zeros(offset), self.mass]))
-
     def renormalized(self) -> "Pmf":
         """Scale out residual float drift (at most MASS_TOL by invariant).
 
@@ -181,21 +164,19 @@ def _log_factorials(size: int) -> np.ndarray:
     return np.concatenate([table, [math.lgamma(t + 1.0) for t in range(len(table), size + 1)]])
 
 
-def binom_rows(trials, p, width: int | None = None, start: int = 0) -> np.ndarray:
-    """Matrix whose row i is Binomial(trials[i], p[i]) over start..width-1.
+def binom_rows(trials, p) -> np.ndarray:
+    """Matrix whose row i is Binomial(trials[i], p[i]) over 0..max(trials).
 
-    p is one rate or one per row.  Entries past trials[i] are zero; width
-    defaults to max(trials) + 1 and may cut rows short, and start skips the
-    counts below it.  Every row is evaluated in log space from one shared
-    log-factorial table, loaded on first use.  Inputs are not validated:
-    this is the unchecked path under the kernel matrices of the models.
+    p is one rate or one per row, and entries past trials[i] are zero.
+    Every row is evaluated in log space from one shared log-factorial table,
+    loaded on first use.  Inputs are not validated: this is the unchecked
+    path under the kernel matrices of the models and every binomial range.
     """
     trials = np.asarray(trials, dtype=np.intp)
     p = np.asarray(p, dtype=float)
     top = int(trials.max())
-    width = top + 1 if width is None else int(width)
-    k = np.arange(start, width)
-    lg = _log_factorials(max(top, width - 1))
+    k = np.arange(top + 1)
+    lg = _log_factorials(top)
     # Degenerate rates would put log(0) into the sum; they are point masses,
     # written over rows evaluated at a harmless stand-in rate.
     degenerate = (p == 0.0) | (p == 1.0)
@@ -212,18 +193,15 @@ def binom_rows(trials, p, width: int | None = None, start: int = 0) -> np.ndarra
     if degenerate.any():
         zero, one = np.broadcast_to(p == 0.0, trials.shape), np.broadcast_to(p == 1.0, trials.shape)
         rows[zero | one] = 0.0
-        if start == 0:
-            rows[zero, 0] = 1.0
-        hit = one & (start <= trials) & (trials < width)
-        rows[hit, trials[hit] - start] = 1.0
+        rows[zero, 0] = 1.0
+        rows[one, trials[one]] = 1.0
     return rows
 
 
 def _window_sums(rows: np.ndarray, trials: np.ndarray, k_lo: int, k_hi: int) -> np.ndarray:
     """Entry i is P(k_lo <= Binomial(trials[i], p) <= k_hi), from rows[i],
-    that law's masses at counts k_lo..min(k_hi, max(trials)).  The clamping
-    is binom_range's: exactly 1 for a range covering every count, 0 for
-    k_lo past trials[i]."""
+    that law's masses at counts k_lo..min(k_hi, max(trials)), clamped as
+    binom_ranges documents."""
     out = np.clip(rows.sum(axis=1), 0.0, 1.0)
     if k_lo == 0:
         out[trials <= k_hi] = 1.0
@@ -231,8 +209,14 @@ def _window_sums(rows: np.ndarray, trials: np.ndarray, k_lo: int, k_hi: int) -> 
 
 
 def binom_ranges(trials, p: float, k_lo: int, k_hi: int) -> np.ndarray:
-    """binom_range vectorised over the trial count: entry i is
-    P(k_lo <= Binomial(trials[i], p) <= k_hi), with binom_range's clamping."""
+    """Entry i is P(k_lo <= Binomial(trials[i], p) <= k_hi), a window sum
+    over the full binom_rows(trials, p) rows.
+
+    k_hi is clamped to trials[i]: quorum bounds are routinely written
+    against the full replica count even when fewer trials exist.  A range
+    covering every count gives exactly 1, and a k_lo beyond trials[i] means
+    the quorum is unreachable and gives 0 rather than an error.
+    """
     trials = np.asarray(trials, dtype=np.intp)
     if trials.size and int(trials.min()) < 0:
         raise DomainError("trial counts must be non-negative")
@@ -241,7 +225,7 @@ def binom_ranges(trials, p: float, k_lo: int, k_hi: int) -> np.ndarray:
     if k_lo > k_hi:
         raise DomainError(f"empty range [{k_lo}, {k_hi}]")
     _check_prob(p)
-    rows = binom_rows(trials, p, width=min(k_hi, int(trials.max())) + 1, start=k_lo)
+    rows = binom_rows(trials, p)[:, k_lo : k_hi + 1]
     return _window_sums(rows, trials, k_lo, k_hi)
 
 
@@ -258,63 +242,10 @@ def table_ranges(table: np.ndarray, trials, k_lo: int, k_hi: int) -> np.ndarray:
     return _window_sums(rows, trials, k_lo, k_hi)
 
 
-def _binom_masses(n: int, p: float) -> np.ndarray:
-    """Vector of B(n, p, k) for k = 0..n, evaluated in log space."""
-    return binom_rows([n], p)[0]
-
-
-def binom_pmf(n: int, p: float, k: int) -> float:
-    """Probability of exactly k successes in n independent trials.
-
-    Evaluated as exp(log C(n,k) + k log p + (n-k) log(1-p)); safe for n up
-    to ~1,000 where direct factorials would overflow.
-    """
-    n = int(n)
-    k = int(k)
-    if n < 0:
-        raise DomainError(f"trial count must be non-negative, got {n}")
-    if k < 0 or k > n:
-        raise DomainError(f"success count {k} outside 0..{n}")
-    _check_prob(p)
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    log_term = (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return math.exp(log_term)
-
-
 def binom_range(n: int, p: float, k_lo: int, k_hi: int) -> float:
-    """Probability of between k_lo and k_hi successes (inclusive).
-
-    k_hi is clamped to n: quorum bounds are routinely written against the
-    full replica count even when fewer trials exist.  A k_lo beyond n means
-    the quorum is unreachable and yields 0 rather than an error.
-    """
-    n = int(n)
-    k_lo = int(k_lo)
-    k_hi = int(k_hi)
-    if n < 0:
-        raise DomainError(f"trial count must be non-negative, got {n}")
-    if k_lo < 0:
-        raise DomainError(f"k_lo must be non-negative, got {k_lo}")
-    if k_lo > k_hi:
-        raise DomainError(f"empty range [{k_lo}, {k_hi}]")
-    _check_prob(p)
-    if k_lo > n:
-        return 0.0
-    k_hi = min(k_hi, n)
-    if k_lo == 0 and k_hi == n:
-        return 1.0
-    mass = _binom_masses(n, p)
-    total = float(mass[k_lo : k_hi + 1].sum())
-    return min(max(total, 0.0), 1.0)
+    """Probability of between k_lo and k_hi successes in n trials, inclusive:
+    binom_ranges for one trial count."""
+    return float(binom_ranges([int(n)], p, int(k_lo), int(k_hi))[0])
 
 
 def pmf_binomial(n: int, p: float) -> Pmf:
@@ -323,7 +254,7 @@ def pmf_binomial(n: int, p: float) -> Pmf:
     if n < 0:
         raise DomainError(f"trial count must be non-negative, got {n}")
     _check_prob(p)
-    return Pmf(_binom_masses(n, p))
+    return Pmf(binom_rows([n], p)[0])
 
 
 def _normal_cdf(x: float) -> float:

@@ -46,6 +46,7 @@ __all__ = [
     "ZYZZYVA",
     "SBFT",
     "PROTOCOLS",
+    "MAX_REPLICAS",
     "ProtocolConfig",
     "PhaseTrace",
     "pbft_crash_only",
@@ -54,7 +55,6 @@ __all__ = [
     "zyzzyva_model",
     "sbft_model",
     "model_trace",
-    "success_probability",
 ]
 
 PBFT = "pbft"
@@ -62,6 +62,10 @@ BFT_SMART = "bft-smart"
 ZYZZYVA = "zyzzyva"
 SBFT = "sbft"
 PROTOCOLS = (PBFT, BFT_SMART, ZYZZYVA, SBFT)
+
+# Largest replica count of the documented domain.  A model evaluation holds
+# dense (n+1) x (n+1) kernels, and the simulator counts deliveries in uint16.
+MAX_REPLICAS = 1_000
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,8 @@ class ProtocolConfig:
             raise DomainError(f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}")
         if self.f < 0 or self.c < 0:
             raise DomainError("f and c must be non-negative")
+        if self.n > MAX_REPLICAS:
+            raise DomainError(f"n must be at most {MAX_REPLICAS}, got n={self.n}")
         if proto == SBFT:
             if self.n != 3 * self.f + 2 * self.c + 1:
                 raise DomainError(
@@ -159,13 +165,6 @@ class PhaseTrace:
     @property
     def final(self) -> Pmf:
         return self.phases[-1][1]
-
-
-def success_probability(trace: PhaseTrace, threshold: int) -> float:
-    """Probability that the final phase count reaches the threshold."""
-    if threshold < 0:
-        raise DomainError(f"threshold must be non-negative, got {threshold}")
-    return trace.final.tail(threshold)
 
 
 def _require_protocol(config: ProtocolConfig, expected: str) -> None:

@@ -72,6 +72,9 @@ CHUNK = 1 << 14
 
 PATH_NAMES = ("none", "happy", "fast", "slow")
 
+# Two-sided confidence level of every campaign interval.
+CONFIDENCE = 0.99
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -81,14 +84,10 @@ class SimConfig:
     failures: FailureParams
     requests: int
     seed: int
-    record_phase_detail: bool = False
-    confidence: float = 0.99
 
     def __post_init__(self) -> None:
         if self.requests < 1:
             raise DomainError(f"requests must be >= 1, got {self.requests}")
-        if not 0.0 < self.confidence < 1.0:
-            raise DomainError("confidence must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -677,7 +676,7 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
     for each chunk, in chunk order; the result's arrays carry per-replica
     detail and cover at least the chunk's first valid_count requests.
     """
-    detail = sim.record_phase_detail or record_sink is not None
+    detail = record_sink is not None
     requests = sim.requests
     chunks = (requests + CHUNK - 1) // CHUNK
 
@@ -705,7 +704,7 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
         if record_sink is not None:
             record_sink(chunk_index * CHUNK, res, valid)
 
-    z = normal_quantile(0.5 + sim.confidence / 2.0)
+    z = normal_quantile(0.5 + CONFIDENCE / 2.0)
     stats = []
     for name, total in sums.items():
         mean = total / requests

@@ -3,12 +3,71 @@
 These deliberately reconstruct distributions from raw coin patterns rather
 than through the library's composition operators.  `record_writer_reference`
 is the per-row text formatter `simulate --record` used before its byte
-tables, kept as the reference for the log's bytes.
+tables, kept as the reference for the log's bytes.  `binom_pmf` and
+`scalar_binom_range` are the scalar binomial helpers the package once
+exported, kept as per-count references for `binom_rows` and `binom_ranges`.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from bftprob.prob import DomainError, _check_prob, binom_rows
+
+
+def binom_pmf(n: int, p: float, k: int) -> float:
+    """Probability of exactly k successes in n independent trials.
+
+    Evaluated as exp(log C(n,k) + k log p + (n-k) log(1-p)); safe for n up
+    to ~1,000 where direct factorials would overflow.
+    """
+    n = int(n)
+    k = int(k)
+    if n < 0:
+        raise DomainError(f"trial count must be non-negative, got {n}")
+    if k < 0 or k > n:
+        raise DomainError(f"success count {k} outside 0..{n}")
+    _check_prob(p)
+    if p == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if p == 1.0:
+        return 1.0 if k == n else 0.0
+    log_term = (
+        math.lgamma(n + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+    return math.exp(log_term)
+
+
+def scalar_binom_range(n: int, p: float, k_lo: int, k_hi: int) -> float:
+    """Probability of between k_lo and k_hi successes (inclusive).
+
+    k_hi is clamped to n: quorum bounds are routinely written against the
+    full replica count even when fewer trials exist.  A k_lo beyond n means
+    the quorum is unreachable and yields 0 rather than an error.
+    """
+    n = int(n)
+    k_lo = int(k_lo)
+    k_hi = int(k_hi)
+    if n < 0:
+        raise DomainError(f"trial count must be non-negative, got {n}")
+    if k_lo < 0:
+        raise DomainError(f"k_lo must be non-negative, got {k_lo}")
+    if k_lo > k_hi:
+        raise DomainError(f"empty range [{k_lo}, {k_hi}]")
+    _check_prob(p)
+    if k_lo > n:
+        return 0.0
+    k_hi = min(k_hi, n)
+    if k_lo == 0 and k_hi == n:
+        return 1.0
+    mass = binom_rows([n], p)[0]
+    total = float(mass[k_lo : k_hi + 1].sum())
+    return min(max(total, 0.0), 1.0)
 
 
 def crash_chain_enumeration(n: int, p_c: float, phases: int = 3):

@@ -8,13 +8,12 @@ everything else finishes in seconds.
 import numpy as np
 import pytest
 
-from oracles import crash_chain_enumeration
+from oracles import binom_pmf, crash_chain_enumeration
 
 from bftprob import (
     FailureParams,
     ProtocolConfig,
     SimConfig,
-    binom_pmf,
     compare_to_model,
     model_trace,
     pbft_crash_only,

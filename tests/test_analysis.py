@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import bisection_crossing
+from oracles import binom_pmf, bisection_crossing
 
 import bftprob.analysis as analysis
 from bftprob import (
@@ -14,7 +14,6 @@ from bftprob import (
     FailureParams,
     ProtocolConfig,
     SweepGrid,
-    binom_pmf,
     gradient_field,
     model_trace,
     pbft_model,

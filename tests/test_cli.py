@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bftprob.cli as cli
+import bftprob.sim as sim
 from bftprob import FailureParams, ProtocolConfig, pbft_model
 from bftprob.cli import EXIT_COVERAGE, EXIT_OK, EXIT_USAGE, main
 
@@ -195,7 +196,7 @@ class TestValidateCommand:
         def wrong_trace(config, fp):
             return protocols.pbft_model(ProtocolConfig("pbft", config.n, config.f - 1), fp)
 
-        monkeypatch.setattr(cli, "model_trace", wrong_trace)
+        monkeypatch.setattr(sim, "model_trace", wrong_trace)
         code = main(["validate", "--protocol", "pbft", "-n", "10", "-f", "3",
                      "--pl-values", "0.1", "--pc-values", "0.05",
                      "--requests", "20000", "--seed", "5"])
@@ -237,6 +238,38 @@ class TestExitCodes:
             main(["model", "--protocol", "raft", "-n", "4", "-f", "1",
                   "--pl", "0", "--pc", "0"])
         assert err.value.code == EXIT_USAGE
+
+
+class TestReplicaCeiling:
+    """n past MAX_REPLICAS exits 2 before any binomial table or chunk is built."""
+
+    PAST = ["--protocol", "pbft", "-n", "1001", "-f", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "--pl", "0.1", "--pc", "0.1"],
+        ["simulate", "--pl", "0.1", "--pc", "0.1", "--requests", "10", "--seed", "1"],
+        ["validate", "--pl", "0.1", "--pc", "0.1", "--requests", "10", "--seed", "1"],
+        ["analyze", "gradient", "--pl-values", "0.1", "--pc-values", "0.1"],
+    ])
+    def test_exits_2_before_allocating(self, monkeypatch, capsys, argv):
+        import bftprob.chain as chain
+        import bftprob.protocols as protocols
+
+        def built(*args, **kwargs):
+            raise AssertionError("work started past the replica ceiling")
+
+        for module, name in ((protocols, "binom_rows"), (chain, "binom_rows"), (sim, "_sample")):
+            monkeypatch.setattr(module, name, built)
+        assert main(argv + self.PAST) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "error: n must be at most 1000, got n=1001" in err
+
+    def test_sweep_row_error(self, capsys):
+        assert main(["analyze", "sweep", "--protocol", "pbft", "--n-values", "7,1001",
+                     "--pl-values", "0.1", "--pc-values", "0"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].startswith("7,2,0,0.10000000000000001,0,happy,") and rows[1].endswith(",")
+        assert rows[2] == "1001,,0,0.10000000000000001,0,error,,n must be at most 1000, got n=1001"
 
 
 def _usage_error(argv, capsys) -> str:

@@ -4,7 +4,9 @@ Each example starts from a valid argv for one subcommand and replaces up to
 three of its values, either on the command line or through a --config file.
 Anything `main` raises other than SystemExit with code 0 or 2 fails the test.
 An argv that gives --min-coverage, --mu, --sigma or --step a value outside
-its domain, or -f a fault budget no replica count here admits, must exit 2.
+its domain, or -f a fault budget no replica count here admits, must exit 2;
+besides the random draws, every such pair is also substituted into every
+valid argv that takes its flag.
 Replica counts stay at most 13 and campaigns at most 64 requests, so every
 example is cheap.
 """
@@ -130,3 +132,10 @@ def test_fuzzed_config_exits_cleanly(tmp_path, case):
 def test_valid_argv_succeed(words):
     argv = [*words, *(x for item in VALID[words].items() for x in item)]
     assert _run(argv) == 0
+
+
+@pytest.mark.parametrize("words, flag, value", [
+    (words, flag, value) for flag, value in sorted(REJECTED) for words in VALID if flag in VALID[words]])
+def test_rejected_values_exit_2(words, flag, value):
+    values = {**VALID[words], flag: value}
+    assert _run([*words, *(x for item in values.items() for x in item)]) == 2

@@ -9,12 +9,13 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from oracles import binom_pmf, scalar_binom_range
+
 from bftprob import (
     DomainError,
     FailureParams,
     NormalizationError,
     Pmf,
-    binom_pmf,
     binom_range,
     normal_quantile,
     pmf_binomial,
@@ -26,25 +27,32 @@ def exact_binom(n: int, p: Fraction, k: int) -> Fraction:
     return math.comb(n, k) * p**k * (1 - p) ** (n - k)
 
 
+def _row(n: int, p: float) -> np.ndarray:
+    return binom_rows([n], p)[0]
+
+
 class TestBinomPmf:
+    """Single binom_rows rows against exact values; the domain checks are
+    those of the scalar reference `oracles.binom_pmf`."""
+
     def test_symmetric_half(self):
-        assert binom_pmf(4, 0.5, 2) == pytest.approx(0.375, abs=1e-15)
+        assert _row(4, 0.5)[2] == pytest.approx(0.375, abs=1e-15)
 
     def test_all_successes(self):
-        assert binom_pmf(3, 0.9, 3) == pytest.approx(0.729, abs=1e-12)
+        assert _row(3, 0.9)[3] == pytest.approx(0.729, abs=1e-12)
 
     def test_exact_rational_value(self):
         # 210 * (3/10)^4 * (7/10)^6 = 0.200120949 exactly
         expected = float(exact_binom(10, Fraction(3, 10), 4))
         assert expected == 0.200120949
-        assert binom_pmf(10, 0.3, 4) == pytest.approx(expected, rel=1e-12)
+        assert _row(10, 0.3)[4] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 5, 17, 40])
     @pytest.mark.parametrize("p_frac", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)])
     def test_matches_exact_rationals(self, n, p_frac):
-        p = float(p_frac)
+        row = _row(n, float(p_frac))
         for k in range(n + 1):
-            assert binom_pmf(n, p, k) == pytest.approx(
+            assert row[k] == pytest.approx(
                 float(exact_binom(n, p_frac, k)), rel=1e-11, abs=1e-300
             )
 
@@ -52,19 +60,16 @@ class TestBinomPmf:
         for n in (3, 25, 200, 1000):
             ks = np.arange(0, n + 1, max(1, n // 7))
             ref = scipy.stats.binom.pmf(ks, n, 0.37)
-            got = [binom_pmf(n, 0.37, int(k)) for k in ks]
-            assert np.allclose(got, ref, rtol=1e-9)
+            assert np.allclose(_row(n, 0.37)[ks], ref, rtol=1e-9)
 
     def test_large_n_no_underflow(self):
         # The central mass at n=1000 must come out finite and positive.
-        assert binom_pmf(1000, 0.9, 900) > 0.01
-        assert binom_pmf(1000, 0.5, 500) > 0.02
+        assert _row(1000, 0.9)[900] > 0.01
+        assert _row(1000, 0.5)[500] > 0.02
 
     def test_degenerate_p(self):
-        assert binom_pmf(5, 0.0, 0) == 1.0
-        assert binom_pmf(5, 0.0, 1) == 0.0
-        assert binom_pmf(5, 1.0, 5) == 1.0
-        assert binom_pmf(5, 1.0, 4) == 0.0
+        assert _row(5, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert _row(5, 1.0).tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
     @pytest.mark.parametrize("n,p,k", [(4, 0.5, 5), (4, 0.5, -1), (4, 1.5, 2), (4, -0.1, 2), (-1, 0.5, 0)])
     def test_domain_errors(self, n, p, k):
@@ -74,16 +79,14 @@ class TestBinomPmf:
     def test_reflection_symmetry(self):
         for n in (7, 31, 64):
             for p in (0.1, 0.3, 0.5, 0.9):
+                a, b = _row(n, p), _row(n, 1.0 - p)[::-1]
                 for k in range(n + 1):
-                    a = binom_pmf(n, p, k)
-                    b = binom_pmf(n, 1.0 - p, n - k)
-                    assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
+                    assert math.isclose(a[k], b[k], rel_tol=1e-12, abs_tol=1e-15)
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
     def test_mass_sums_to_one(self, p):
-        for n in range(0, 61):
-            total = sum(binom_pmf(n, p, k) for k in range(n + 1))
-            assert total == pytest.approx(1.0, abs=1e-12)
+        totals = binom_rows(np.arange(61), p).sum(axis=1)
+        assert totals == pytest.approx(np.ones(61), abs=1e-12)
 
 
 class TestBinomRange:
@@ -138,22 +141,18 @@ class TestBinomRows:
                 assert row[k] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_shared_rate_and_width(self):
-        rows = binom_rows(np.arange(6), 0.3, width=3)
-        assert rows.shape == (6, 3)
-        expected = [binom_pmf(5, 0.3, k) for k in range(3)]
+        # One rate for every row; the width is max(trials) + 1.
+        rows = binom_rows(np.arange(6), 0.3)
+        assert rows.shape == (6, 6)
+        expected = [binom_pmf(5, 0.3, k) for k in range(6)]
         assert rows[5].tolist() == pytest.approx(expected, rel=1e-12)
-
-    def test_start_skips_low_counts(self):
-        trials = np.array([0, 2, 5, 9])
-        for p in (np.array([0.0, 1.0, 0.3, 1.0]), 0.7):
-            full = binom_rows(trials, p, width=8)
-            assert np.array_equal(binom_rows(trials, p, width=8, start=3), full[:, 3:])
+        assert rows[2, 3:].tolist() == [0.0, 0.0, 0.0]
 
     def test_degenerate_rates_are_point_masses(self):
-        rows = binom_rows(np.array([2, 3, 3, 4]), np.array([0.0, 1.0, 0.5, 1.0]), width=4)
-        assert rows[0].tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert rows[1].tolist() == [0.0, 0.0, 0.0, 1.0]
-        assert rows[3].tolist() == [0.0, 0.0, 0.0, 0.0]  # the mass at 4 is cut off
+        rows = binom_rows(np.array([2, 3, 3, 4]), np.array([0.0, 1.0, 0.5, 1.0]))
+        assert rows[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert rows[1].tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]
+        assert rows[3].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
         assert np.all(np.isfinite(rows))
 
     def test_beyond_log_factorial_table(self):
@@ -172,11 +171,12 @@ class TestBinomRanges:
     @pytest.mark.parametrize("k_lo,k_hi", [(0, 5), (0, 100), (2, 4), (3, 100), (9, 100), (70, 90)])
     @pytest.mark.parametrize("p", [0.0, 0.12, 0.5, 0.95, 1.0])
     def test_matches_scalar(self, k_lo, k_hi, p):
-        # binom_range stays the per-count reference for the vector form.
+        # The scalar windowing and clamping in oracles is the per-count
+        # reference for the vector form.
         trials = np.arange(121)
         got = binom_ranges(trials, p, k_lo, k_hi)
         for t in trials:
-            expected = binom_range(int(t), p, k_lo, k_hi)
+            expected = scalar_binom_range(int(t), p, k_lo, k_hi)
             assert got[t] == pytest.approx(expected, rel=1e-13, abs=1e-16)
             if expected in (0.0, 1.0):
                 assert got[t] == expected
@@ -287,13 +287,6 @@ class TestPmfType:
         # A tail of masses that sum past 1 within MASS_TOL reads as 1.
         pmf = Pmf(np.array([0.0, 0.6, 0.4 + 1e-10]))
         assert pmf.tail(1) == 1.0
-
-    def test_padded_and_shifted(self):
-        pmf = Pmf(np.array([0.5, 0.5]))
-        assert pmf.padded(3).mass.tolist() == [0.5, 0.5, 0.0, 0.0]
-        assert pmf.shifted(2).mass.tolist() == [0.0, 0.0, 0.5, 0.5]
-        with pytest.raises(DomainError):
-            pmf.padded(0)
 
     def test_renormalized_fixes_tiny_drift(self):
         drift = np.array([0.5, 0.5 - 2e-10])

@@ -3,24 +3,22 @@
 import numpy as np
 import pytest
 
-from oracles import crash_chain_enumeration, pbft_no_links_enumeration
+from oracles import binom_pmf, crash_chain_enumeration, pbft_no_links_enumeration
 
 from bftprob import (
     DomainError,
     FailureParams,
     ProtocolConfig,
-    binom_pmf,
     model_trace,
     pbft_crash_only,
     pbft_model,
     sbft_model,
     smart_model,
-    success_probability,
     zyzzyva_model,
 )
 from bftprob.chain import thinning_matrix
 from bftprob.prob import MASS_TOL, NormalizationError, Pmf
-from bftprob.protocols import _finalize
+from bftprob.protocols import MAX_REPLICAS, _finalize
 
 
 class TestProtocolConfig:
@@ -47,6 +45,17 @@ class TestProtocolConfig:
 
     def test_case_normalized(self):
         assert ProtocolConfig("PBFT", 4, 1).protocol == "pbft"
+
+    def test_replica_ceiling(self):
+        # Past the ceiling, configs that are otherwise valid are rejected.
+        assert MAX_REPLICAS == 1000
+        for proto in ("pbft", "bft-smart", "zyzzyva"):
+            ProtocolConfig(proto, 1000, 333)
+            with pytest.raises(DomainError, match="at most 1000"):
+                ProtocolConfig(proto, 1001, 333)
+        ProtocolConfig("sbft", 1000, 333, 0)
+        with pytest.raises(DomainError, match="at most 1000"):
+            ProtocolConfig("sbft", 1001, 332, 2)
 
     def test_model_guard(self):
         with pytest.raises(DomainError):
@@ -275,11 +284,11 @@ class TestSuccessProbability:
         from bftprob import Pmf, PhaseTrace
 
         trace = pbft_model(ProtocolConfig("pbft", 4, 1), FailureParams(0.0, 0.0))
-        assert success_probability(trace, 3) == pytest.approx(1.0, abs=1e-12)
+        assert trace.final.tail(3) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty(self):
         trace = pbft_model(ProtocolConfig("pbft", 4, 1), FailureParams(1.0, 0.0))
-        assert success_probability(trace, 1) == 0.0
+        assert trace.final.tail(1) == 0.0
 
     def test_binomial_tail(self):
         trace = pbft_crash_only(ProtocolConfig("pbft", 4, 1), 0.1)
@@ -290,9 +299,9 @@ class TestSuccessProbability:
         assert direct == pytest.approx(0.9477, abs=1e-12)
 
     def test_negative_threshold(self):
+        # Every count reaches a threshold at or below 0.
         trace = pbft_crash_only(ProtocolConfig("pbft", 4, 1), 0.1)
-        with pytest.raises(DomainError):
-            success_probability(trace, -1)
+        assert trace.final.tail(-1) == 1.0
 
 
 class TestTraceInterface:

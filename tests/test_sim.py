@@ -162,7 +162,3 @@ class TestConfigValidation:
     def test_requests_positive(self):
         with pytest.raises(DomainError):
             _sim(requests=0)
-
-    def test_confidence_domain(self):
-        with pytest.raises(DomainError):
-            SimConfig(ProtocolConfig("pbft", 4, 1), FailureParams(0, 0), 10, 1, confidence=1.0)
