@@ -6,11 +6,20 @@ counts up to the 1,000 that `ProtocolConfig` admits neither overflow nor
 underflow to zero prematurely; no arbitrary-precision arithmetic is used or
 needed.  One path computes binomial masses, `binom_rows`; every range
 probability is a window sum over its rows.
+
+The rate-independent half of those rows, log C(t, k) and t - k, comes from
+one table over counts 0..T that the process keeps.  It grows to the largest
+count a call has needed, never past MAX_REPLICAS, and holds 2 (T+1)^2
+float64 entries: about 1.4 MiB at T = 301 and 15.3 MiB at T = 1,000.  A
+grown table is built in full and marked read-only before it replaces the
+old one, so threads share it safely.  Rows past MAX_REPLICAS are built per
+call, for the requested trials only.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -19,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "MASS_TOL",
+    "MAX_REPLICAS",
     "DomainError",
     "NormalizationError",
     "FailureParams",
@@ -164,32 +174,89 @@ def _log_factorials(size: int) -> np.ndarray:
     return np.concatenate([table, [math.lgamma(t + 1.0) for t in range(len(table), size + 1)]])
 
 
+# Largest replica count of the documented domain, re-exported by protocols.
+# A model evaluation holds dense (n+1) x (n+1) kernels, the simulator counts
+# deliveries in uint16, and the shared coefficient table stops at this count.
+MAX_REPLICAS = 1_000
+# exp(x) is exactly +0.0 for x <= _EXP_ZERO: e^-746 is below half the
+# smallest subnormal double.
+_EXP_ZERO = -746.0
+
+
+def _coefficients(trials: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rate-independent half of binom_rows(trials, p) over counts
+    k = 0..top: log C(t, k) for each t in trials, -inf past t, and t - k as
+    float64."""
+    k = np.arange(top + 1)
+    lg = _log_factorials(top)
+    below = trials[:, None] - k  # t - k, negative past the row's trials
+    coef = lg[trials][:, None] - lg[k]
+    coef -= lg[np.abs(below)]
+    coef[below < 0] = -np.inf
+    return coef, below.astype(float)
+
+
+# _coefficients(arange(T + 1), T), read-only; replaced whole, under the lock.
+_table = (np.empty((0, 0)), np.empty((0, 0)))
+_table_lock = threading.Lock()
+
+
+def _coefficient_rows(trials: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """_coefficients(trials, top), sliced or gathered from the shared table,
+    which first grows to counts 0..top if it holds fewer."""
+    if top > MAX_REPLICAS:
+        return _coefficients(trials, top)
+    global _table
+    table = _table
+    if len(table[0]) <= top:
+        with _table_lock:
+            table = _table
+            if len(table[0]) <= top:
+                table = _coefficients(np.arange(top + 1), top)
+                for part in table:
+                    part.flags.writeable = False
+                _table = table
+    rows, lo = trials, int(trials[0])
+    if top - lo + 1 == len(trials) and (np.diff(trials) == 1).all():
+        rows = slice(lo, top + 1)  # a run of counts: slice, do not copy
+    return table[0][rows, : top + 1], table[1][rows, : top + 1]
+
+
 def binom_rows(trials, p) -> np.ndarray:
     """Matrix whose row i is Binomial(trials[i], p[i]) over 0..max(trials).
 
     p is one rate or one per row, and entries past trials[i] are zero.
-    Every row is evaluated in log space from one shared log-factorial table,
-    loaded on first use.  Inputs are not validated: this is the unchecked
+    Every row is exp(log C(t, k) + k log p + (t - k) log1p(-p)).  log C(t, k),
+    -inf past the row's trials, and t - k are sliced (for a run of counts)
+    or gathered from the shared table, so a call only adds the two rate
+    terms and takes exp.  The table grows to counts 0..max(trials), never
+    past MAX_REPLICAS; over counts 0..T it holds 1.4 MiB at T = 301 and
+    15.3 MiB at T = 1,000.  A call past MAX_REPLICAS builds its own rows,
+    for its trials only.  Inputs are not validated: this is the unchecked
     path under the kernel matrices of the models and every binomial range.
     """
     trials = np.asarray(trials, dtype=np.intp)
     p = np.asarray(p, dtype=float)
     top = int(trials.max())
-    k = np.arange(top + 1)
-    lg = _log_factorials(top)
+    coef, below = _coefficient_rows(trials, top)
     # Degenerate rates would put log(0) into the sum; they are point masses,
-    # written over rows evaluated at a harmless stand-in rate.
+    # written over rows evaluated at a harmless stand-in rate, so both rate
+    # terms stay finite and -inf past each row stays -inf.
     degenerate = (p == 0.0) | (p == 1.0)
     rate = np.where(degenerate, 0.5, p)
     if rate.ndim:
         rate = rate[:, None]
-    below = trials[:, None] - k  # t - k, negative past the row's trials
-    logs = lg[trials][:, None] - lg[k]
-    logs -= lg[np.abs(below)]
-    logs += k * np.log(rate)
+    logs = coef + np.arange(top + 1) * np.log(rate)
     logs += below * np.log1p(-rate)
-    logs[below < 0] = -np.inf
-    rows = np.exp(logs, out=logs)
+    if logs.size < 4096:  # here the mask below costs more than it saves
+        rows = np.exp(logs, out=logs)
+    else:
+        # exp is several times slower where its result underflows to zero
+        # (all of each row past its trials, and far tails at large n);
+        # those entries are written as the zero that exp would give.
+        dead = logs <= _EXP_ZERO
+        rows = np.exp(logs, out=logs, where=~dead)
+        np.copyto(rows, 0.0, where=dead)
     if degenerate.any():
         zero, one = np.broadcast_to(p == 0.0, trials.shape), np.broadcast_to(p == 1.0, trials.shape)
         rows[zero | one] = 0.0
@@ -225,6 +292,8 @@ def binom_ranges(trials, p: float, k_lo: int, k_hi: int) -> np.ndarray:
     if k_lo > k_hi:
         raise DomainError(f"empty range [{k_lo}, {k_hi}]")
     _check_prob(p)
+    if not trials.size:
+        return np.zeros(0)
     rows = binom_rows(trials, p)[:, k_lo : k_hi + 1]
     return _window_sums(rows, trials, k_lo, k_hi)
 
@@ -238,7 +307,7 @@ def table_ranges(table: np.ndarray, trials, k_lo: int, k_hi: int) -> np.ndarray:
     reads all its quorum rates on p from it.  Inputs are not validated.
     """
     trials = np.asarray(trials, dtype=np.intp)
-    rows = table[trials, k_lo : min(k_hi, int(trials.max())) + 1]
+    rows = table[trials, k_lo : min(k_hi, int(trials.max(initial=0))) + 1]
     return _window_sums(rows, trials, k_lo, k_hi)
 
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .chain import crash_step, thin, thinning_matrix
 from .prob import (
+    MAX_REPLICAS,
     DomainError,
     FailureParams,
     Pmf,
@@ -62,10 +63,6 @@ BFT_SMART = "bft-smart"
 ZYZZYVA = "zyzzyva"
 SBFT = "sbft"
 PROTOCOLS = (PBFT, BFT_SMART, ZYZZYVA, SBFT)
-
-# Largest replica count of the documented domain.  A model evaluation holds
-# dense (n+1) x (n+1) kernels, and the simulator counts deliveries in uint16.
-MAX_REPLICAS = 1_000
 
 
 @dataclass(frozen=True)

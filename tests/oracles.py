@@ -6,6 +6,9 @@ is the per-row text formatter `simulate --record` used before its byte
 tables, kept as the reference for the log's bytes.  `binom_pmf` and
 `scalar_binom_range` are the scalar binomial helpers the package once
 exported, kept as per-count references for `binom_rows` and `binom_ranges`.
+`binom_rows_reference` is `binom_rows` as it was before the shared
+coefficient table: every call evaluates its rows from scratch, so it is the
+bit-for-bit reference for the table's slices, gathers and growth.
 """
 
 import itertools
@@ -13,7 +16,7 @@ import math
 
 import numpy as np
 
-from bftprob.prob import DomainError, _check_prob, binom_rows
+from bftprob.prob import DomainError, _check_prob, _log_factorials, binom_rows
 
 
 def binom_pmf(n: int, p: float, k: int) -> float:
@@ -41,6 +44,40 @@ def binom_pmf(n: int, p: float, k: int) -> float:
         + (n - k) * math.log1p(-p)
     )
     return math.exp(log_term)
+
+
+def binom_rows_reference(trials, p) -> np.ndarray:
+    """Matrix whose row i is Binomial(trials[i], p[i]) over 0..max(trials).
+
+    p is one rate or one per row, and entries past trials[i] are zero.
+    Every row is evaluated in log space from one shared log-factorial table,
+    loaded on first use.  Inputs are not validated: this is the unchecked
+    path under the kernel matrices of the models and every binomial range.
+    """
+    trials = np.asarray(trials, dtype=np.intp)
+    p = np.asarray(p, dtype=float)
+    top = int(trials.max())
+    k = np.arange(top + 1)
+    lg = _log_factorials(top)
+    # Degenerate rates would put log(0) into the sum; they are point masses,
+    # written over rows evaluated at a harmless stand-in rate.
+    degenerate = (p == 0.0) | (p == 1.0)
+    rate = np.where(degenerate, 0.5, p)
+    if rate.ndim:
+        rate = rate[:, None]
+    below = trials[:, None] - k  # t - k, negative past the row's trials
+    logs = lg[trials][:, None] - lg[k]
+    logs -= lg[np.abs(below)]
+    logs += k * np.log(rate)
+    logs += below * np.log1p(-rate)
+    logs[below < 0] = -np.inf
+    rows = np.exp(logs, out=logs)
+    if degenerate.any():
+        zero, one = np.broadcast_to(p == 0.0, trials.shape), np.broadcast_to(p == 1.0, trials.shape)
+        rows[zero | one] = 0.0
+        rows[zero, 0] = 1.0
+        rows[one, trials[one]] = 1.0
+    return rows
 
 
 def scalar_binom_range(n: int, p: float, k_lo: int, k_hi: int) -> float:

@@ -185,6 +185,12 @@ class TestBinomRanges:
         got = binom_ranges(np.arange(1, 400), 0.88, 1, 400)
         assert np.all((0.0 <= got) & (got <= 1.0))
 
+    def test_empty_trials(self):
+        got = binom_ranges([], 0.5, 0, 1)
+        assert got.dtype == np.float64 and got.shape == (0,)
+        with pytest.raises(DomainError):
+            binom_ranges([], 1.5, 0, 1)
+
     def test_errors(self):
         with pytest.raises(DomainError):
             binom_ranges(np.arange(4), 0.5, 3, 2)
@@ -209,6 +215,10 @@ class TestTableRanges:
                     got = table_ranges(table, trials, k_lo, k_hi)
                     expected = binom_ranges(trials, q, k_lo, k_hi)
                     assert got.tobytes() == expected.tobytes(), (k_lo, k_hi)
+
+    def test_empty_trials(self):
+        got = table_ranges(binom_rows(np.arange(5), 0.3), [], 0, 1)
+        assert got.dtype == np.float64 and got.shape == (0,)
 
     def test_rows_are_binom_rows(self):
         table = binom_rows(np.arange(41), 0.3)
