@@ -31,10 +31,10 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class SimRecord:
     phase_names: tuple[str, ...]
     path: str
     success_quorum: bool  # final count reached 2f+1 (or a path completed)
-    success_liveness: bool  # final count reached f+1
+    success_liveness: bool  # final count reached f+1; for Zyzzyva and SBFT, success_quorum
 
 
 @dataclass(frozen=True)
@@ -188,62 +188,63 @@ def _received(u: np.ndarray, senders: np.ndarray, cut: np.uint64,
     return np.matmul(weights[:, None, :], delivered.view(np.uint8))[:, 0]
 
 
+@dataclass(frozen=True)
 class _ChunkResult:
-    """Raw per-request arrays for a run of consecutive requests of one chunk."""
+    """Raw per-request arrays for a run of consecutive requests of one chunk:
+    phase counts (final phase last), path flags, an index into PATH_NAMES,
+    and with detail the per-replica highest phase and crash step."""
 
-    def __init__(
-        self,
-        values: dict[str, np.ndarray],
-        final_name: str,
-        success: dict[str, np.ndarray],
-        path: np.ndarray,
-        highest: np.ndarray | None,
-        crash: np.ndarray | None,
-        phase_names: tuple[str, ...],
-    ) -> None:
-        self.values = values
-        self.final_name = final_name
-        self.success = success
-        self.path = path
-        self.highest = highest
-        self.crash = crash
-        self.phase_names = phase_names
+    values: dict[str, np.ndarray]
+    success: dict[str, np.ndarray]
+    path: np.ndarray
+    highest: np.ndarray | None = None
+    crash: np.ndarray | None = None
+    phase_names: tuple[str, ...] = ()
+
+    @property
+    def final_name(self) -> str:
+        return next(reversed(self.values))
+
+
+def _result(values: dict[str, np.ndarray], success: dict[str, np.ndarray],
+            members: dict[str, np.ndarray] | None = None,
+            crashes: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> _ChunkResult:
+    """One block's result.  path is the first path in PATH_NAMES order whose
+    flag is set.  members maps each detail phase, in chain order, to its
+    (G, n) membership mask, and crashes lists (was-member, crashed) masks in
+    step order; highest is then the last phase a replica reached (0 for
+    "start"), and crash the first step that removed it (-1 for none)."""
+    path = np.zeros(len(next(iter(success.values()))), dtype=np.int8)
+    for code in range(len(PATH_NAMES) - 1, 0, -1):
+        if PATH_NAMES[code] in success:
+            path[success[PATH_NAMES[code]]] = code
+    if members is None:
+        return _ChunkResult(values, success, path)
+    highest = np.zeros(next(iter(members.values())).shape, dtype=np.int8)
+    for phase, member in enumerate(members.values(), 1):
+        highest = np.where(member, np.int8(phase), highest)
+    crash = np.full(highest.shape, -1, dtype=np.int8)
+    for step, (was_member, crashed) in enumerate(crashes, 1):
+        hit = was_member & crashed & (crash < 0)
+        crash = np.where(hit, np.int8(step), crash)
+    return _ChunkResult(values, success, path, highest, crash, ("start", *members))
 
 
 def _join(parts: list[_ChunkResult]) -> _ChunkResult:
     """Concatenate the results of consecutive blocks, in order."""
-    first = parts[0]
     if len(parts) == 1:
-        return first
-    detail = first.highest is not None
-    return _ChunkResult(
-        {name: np.concatenate([p.values[name] for p in parts]) for name in first.values},
-        first.final_name,
-        {name: np.concatenate([p.success[name] for p in parts]) for name in first.success},
-        np.concatenate([p.path for p in parts]),
-        np.concatenate([p.highest for p in parts]) if detail else None,
-        np.concatenate([p.crash for p in parts]) if detail else None,
-        first.phase_names,
-    )
-
-
-def _detail_from_sets(
-    sets: list[tuple[np.ndarray, int]], crash_draws: list[tuple[np.ndarray, np.ndarray, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Highest phase per replica from membership sets, crash step from draws.
-
-    sets: (membership (G, n) bool, phase index) in chain order.
-    crash_draws: (was-member (G, n), crashed (G, n), step index).
-    """
-    g, n = sets[0][0].shape
-    highest = np.zeros((g, n), dtype=np.int8)
-    for member, phase_idx in sets:
-        highest = np.where(member, np.int8(phase_idx), highest)
-    crash = np.full((g, n), -1, dtype=np.int8)
-    for was_member, crashed, step in crash_draws:
-        hit = was_member & crashed & (crash < 0)
-        crash = np.where(hit, np.int8(step), crash)
-    return highest, crash
+        return parts[0]
+    joined = {}
+    for field in fields(_ChunkResult):
+        items = [getattr(part, field.name) for part in parts]
+        first = items[0]
+        if isinstance(first, dict):
+            joined[field.name] = {k: np.concatenate([item[k] for item in items]) for k in first}
+        elif isinstance(first, np.ndarray):
+            joined[field.name] = np.concatenate(items)
+        else:  # None, or the phase names every block shares
+            joined[field.name] = first
+    return _ChunkResult(**joined)
 
 
 # Each protocol has a draw layout, listing the per-request shape of every
@@ -251,7 +252,9 @@ def _detail_from_sets(
 # sampler that maps one block's arrays (each of shape (G, *row shape)) to
 # outcomes.  Block samplers see 53-bit integer draws and the cuts
 # pl = _cut(p_l) and pc = _cut(p_c): `u >= pl` is a delivered message,
-# `u < pc` a crash.
+# `u < pc` a crash.  A sampler computes only its protocol's events and
+# returns _result(values, success), plus, with detail, its membership masks
+# and crash draws; _result derives the path and per-replica arrays.
 _Layout = tuple[tuple[int, ...], ...]
 
 
@@ -283,7 +286,6 @@ def _pbft_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
     n3 = c3 & ~cr3
 
     n3_cnt = n3.sum(axis=1)
-    happy = n3_cnt >= th["happy"]
     values = {
         "C1": got_pp.sum(axis=1),
         "N1": n1.sum(axis=1),
@@ -293,33 +295,17 @@ def _pbft_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
         "C3": c3.sum(axis=1),
         "N3": n3_cnt,
     }
-    success = {"happy": happy, "liveness": n3_cnt >= th["liveness"]}
-    path = np.where(happy, PATH_NAMES.index("happy"), 0).astype(np.int8)
-
-    highest = crash = None
-    phase_names = ("start", "C1", "N1", "C2", "N2", "C3", "N3")
-    if detail:
-        pad = np.zeros((g, 1), dtype=bool)
-        one = np.ones((g, 1), dtype=bool)
-        # The primary holds the request and is assumed up through its
-        # broadcast, so it enters the chain at the N1 stage.
-        highest, crash = _detail_from_sets(
-            [
-                (np.concatenate([pad, got_pp], axis=1), 1),
-                (np.concatenate([one, n1], axis=1), 2),
-                (c2, 3),
-                (n2, 4),
-                (c3, 5),
-                (n3, 6),
-            ],
-            [
-                (np.concatenate([pad, got_pp], axis=1),
-                 np.concatenate([pad, cr1], axis=1), 1),
-                (c2, cr2, 2),
-                (c3, cr3, 3),
-            ],
-        )
-    return _ChunkResult(values, "N3", success, path, highest, crash, phase_names)
+    success = {"happy": n3_cnt >= th["happy"], "liveness": n3_cnt >= th["liveness"]}
+    if not detail:
+        return _result(values, success)
+    pad = np.zeros((g, 1), dtype=bool)
+    c1 = np.concatenate([pad, got_pp], axis=1)
+    # The primary holds the request and is assumed up through its
+    # broadcast, so it enters the chain at the N1 stage.
+    members = {"C1": c1, "N1": np.concatenate([~pad, n1], axis=1),
+               "C2": c2, "N2": n2, "C3": c3, "N3": n3}
+    crashes = [(c1, np.concatenate([pad, cr1], axis=1)), (c2, cr2), (c3, cr3)]
+    return _result(values, success, members, crashes)
 
 
 def _smart_draws(cfg: ProtocolConfig) -> _Layout:
@@ -354,7 +340,6 @@ def _smart_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
     n3 = c3 & ~cr3
 
     n3_cnt = n3.sum(axis=1)
-    happy = n3_cnt >= th["happy"]
     values = {
         "C1": got_pp.sum(axis=1),
         "N1": n1.sum(axis=1),
@@ -363,30 +348,14 @@ def _smart_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
         "C3": c3.sum(axis=1),
         "N3": n3_cnt,
     }
-    success = {"happy": happy, "liveness": n3_cnt >= th["liveness"]}
-    path = np.where(happy, PATH_NAMES.index("happy"), 0).astype(np.int8)
-
-    highest = crash = None
-    phase_names = ("start", "C1", "N1", "C2", "N2", "C3", "N3")
-    if detail:
-        pad = np.zeros((g, 1), dtype=bool)
-        highest, crash = _detail_from_sets(
-            [
-                (np.concatenate([pad, got_pp], axis=1), 1),
-                (pool, 2),
-                (c2, 3),
-                (n2, 4),
-                (c3, 5),
-                (n3, 6),
-            ],
-            [
-                (np.concatenate([pad, got_pp], axis=1),
-                 np.concatenate([pad, cr1], axis=1), 1),
-                (c2, cr2, 2),
-                (c3, cr3, 3),
-            ],
-        )
-    return _ChunkResult(values, "N3", success, path, highest, crash, phase_names)
+    success = {"happy": n3_cnt >= th["happy"], "liveness": n3_cnt >= th["liveness"]}
+    if not detail:
+        return _result(values, success)
+    pad = np.zeros((g, 1), dtype=bool)
+    c1 = np.concatenate([pad, got_pp], axis=1)
+    members = {"C1": c1, "N1": pool, "C2": c2, "N2": n2, "C3": c3, "N3": n3}
+    crashes = [(c1, np.concatenate([pad, cr1], axis=1)), (c2, cr2), (c3, cr3)]
+    return _result(values, success, members, crashes)
 
 
 def _zyzzyva_draws(cfg: ProtocolConfig) -> _Layout:
@@ -433,17 +402,10 @@ def _zyzzyva_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
         "C4": slow.astype(np.int8),
     }
     success = {"fast": fast, "slow": slow, "combined": fast | slow}
-    path = np.where(fast, PATH_NAMES.index("fast"),
-                    np.where(slow, PATH_NAMES.index("slow"), 0)).astype(np.int8)
-
-    highest = crash = None
-    phase_names = ("start", "C1", "N1", "C3", "N3")
-    if detail:
-        highest, crash = _detail_from_sets(
-            [(pool, 1), (n1, 2), (got_cert, 3), (n3, 4)],
-            [(pool, cr1, 1), (got_cert, cr3, 2)],
-        )
-    return _ChunkResult(values, "C4", success, path, highest, crash, phase_names)
+    if not detail:
+        return _result(values, success)
+    members = {"C1": pool, "N1": n1, "C3": got_cert, "N3": n3}
+    return _result(values, success, members, [(pool, cr1), (got_cert, cr3)])
 
 
 def _sbft_draws(cfg: ProtocolConfig) -> _Layout:
@@ -528,21 +490,13 @@ def _sbft_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
         "C6": c6.sum(axis=1),
     }
     success = {"fast": fast, "slow": slow, "combined": fast | slow}
-    path = np.where(fast, PATH_NAMES.index("fast"),
-                    np.where(slow, PATH_NAMES.index("slow"), 0)).astype(np.int8)
-
-    highest = crash = None
-    phase_names = ("start", "C1", "N1", "C3_slot", "N5_slot")
-    if detail:
-        # Replica-resolved states exist only for the first chain steps; the
-        # collector/rebroadcast phases are tracked on canonical count slots.
-        c3_slot = slots < c3s_cnt[:, None]
-        n5_slot = slots < n5_cnt[:, None]
-        highest, crash = _detail_from_sets(
-            [(pool, 1), (n1, 2), (c3_slot, 3), (n5_slot, 4)],
-            [(pool, cr1, 1)],
-        )
-    return _ChunkResult(values, "C6", success, path, highest, crash, phase_names)
+    if not detail:
+        return _result(values, success)
+    # Replica-resolved states exist only for the first chain steps; the
+    # collector/rebroadcast phases are tracked on canonical count slots.
+    members = {"C1": pool, "N1": n1, "C3_slot": slots < c3s_cnt[:, None],
+               "N5_slot": slots < n5_cnt[:, None]}
+    return _result(values, success, members, [(pool, cr1)])
 
 
 _Draws = Callable[[ProtocolConfig], _Layout]
@@ -620,8 +574,11 @@ def _sample(sim: SimConfig, chunk_index: int, lo: int, hi: int, detail: bool) ->
     return _join(list(_pool().map(run, range(lo, hi, block))))
 
 
-# Both caches spare repeated inspection of one chunk or block a re-sample;
-# results are treated as read-only by all callers.
+# Results are treated as read-only by all callers.  _request_block spares
+# simulate_request a re-sample when it inspects several requests of one
+# block.  Nothing in this package calls _run_chunk: it is kept as the
+# whole-chunk entry point for tests, and its cache for the cache_clear() of
+# the benchmark's tests.
 @lru_cache(maxsize=2)
 def _run_chunk(sim: SimConfig, chunk_index: int, detail: bool) -> _ChunkResult:
     return _sample(sim, chunk_index, 0, CHUNK, detail)
@@ -641,19 +598,15 @@ def simulate_request(sim: SimConfig, request_index: int) -> SimRecord:
     res = _request_block(sim, chunk_index, start)
     row = offset - start
     assert res.highest is not None and res.crash is not None
-    path = PATH_NAMES[int(res.path[row])]
-    if sim.config.protocol in (PBFT, BFT_SMART):
-        quorum = bool(res.success["happy"][row])
-        liveness = bool(res.success["liveness"][row])
-    else:
-        quorum = bool(res.success["fast"][row] or res.success["slow"][row])
-        liveness = quorum
+    success = res.success
+    quorum = bool(success["happy" if "happy" in success else "combined"][row])
+    liveness = bool(success["liveness"][row]) if "liveness" in success else quorum
     return SimRecord(
         request_id=request_index,
         highest_phase=res.highest[row].copy(),
         crash_step=res.crash[row].copy(),
         phase_names=res.phase_names,
-        path=path,
+        path=PATH_NAMES[int(res.path[row])],
         success_quorum=quorum,
         success_liveness=liveness,
     )
@@ -740,6 +693,9 @@ def _predictions(trace: PhaseTrace) -> dict[str, float]:
 
 def compare_to_model(stats: CampaignStats, trace: PhaseTrace) -> ModelCheck:
     """Check that campaign intervals cover the analytic predictions."""
+    if trace.config.protocol != stats.sim.config.protocol:
+        raise DomainError(f"trace is for {trace.config.protocol!r}; the campaign "
+                          f"simulated {stats.sim.config.protocol!r}")
     preds = _predictions(trace)
     rows: list[CheckRow] = []
     for st in stats.phase_stats:

@@ -100,7 +100,7 @@ def test_full_chunk_at_n100_memory_bounded():
     # Synthetic PBFT-shaped detail: the sink only reads these three arrays.
     rng = np.random.default_rng(0)
     n = 100
-    res = _ChunkResult({}, "N3", {}, rng.integers(0, 2, CHUNK).astype(np.int8),
+    res = _ChunkResult({}, {}, rng.integers(0, 2, CHUNK).astype(np.int8),
                        rng.integers(0, 7, (CHUNK, n)).astype(np.int8),
                        rng.integers(-1, 6, (CHUNK, n)).astype(np.int8),
                        ("start", "C1", "N1", "C2", "N2", "C3", "N3"))

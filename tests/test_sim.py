@@ -148,6 +148,28 @@ class TestModelAgreement:
         for row in check.rows:
             assert row.observed == pytest.approx(row.predicted, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "proto,n,f,c", [("pbft", 7, 2, 0), ("bft-smart", 7, 2, 0), ("zyzzyva", 7, 2, 0), ("sbft", 6, 1, 1)]
+    )
+    def test_sim_and_model_name_the_same_phases(self, proto, n, f, c):
+        # compare_to_model skips any name the model lacks, so a renamed
+        # phase would silently drop a check.
+        chunks = []
+        sim = _sim(proto, n, f, c, requests=100)
+        stats = run_campaign(sim, record_sink=lambda start, res, valid: chunks.append(res))
+        (res,) = chunks
+        trace = model_trace(sim.config, sim.failures)
+        assert tuple(name for name in res.values if name != "Cp") == trace.phase_names()
+        assert res.final_name == stats.final_phase == trace.phase_names()[-1]
+        assert set(res.success) == set(trace.path_success)
+        assert ("Cp" in res.values) == (trace.primary_quorum_prob is not None)
+
+    def test_trace_of_another_protocol_rejected(self):
+        stats = run_campaign(_sim("pbft", n=7, f=2, pl=0.1, pc=0.05, requests=2000, seed=1))
+        other = model_trace(ProtocolConfig("zyzzyva", 7, 2), stats.sim.failures)
+        with pytest.raises(DomainError, match="zyzzyva"):
+            compare_to_model(stats, other)
+
     def test_negative_control_wrong_quorum(self):
         # Comparing against a model with the wrong fault budget must fail
         # loudly: same n, different quorum thresholds everywhere.

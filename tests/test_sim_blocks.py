@@ -100,7 +100,7 @@ class TestInvariance:
         run_campaign(sim, record_sink=keep)
         assert sorted(chunks) == [0, CHUNK]
         last_block = valid_last - 1 - (valid_last - 1) % block
-        picks = [0, 1, block - 1, CHUNK, CHUNK + last_block, CHUNK + valid_last - 1]
+        picks = [*range(40), block - 1, CHUNK, CHUNK + last_block, CHUNK + valid_last - 1]
         for rid in picks:
             start = rid - rid % CHUNK
             res, valid = chunks[start]
@@ -110,6 +110,11 @@ class TestInvariance:
             assert np.array_equal(rec.highest_phase, res.highest[row]), rid
             assert np.array_equal(rec.crash_step, res.crash[row]), rid
             assert rec.path == sim_module.PATH_NAMES[res.path[row]], rid
+            if cfg.protocol in ("pbft", "bft-smart"):
+                quorum, liveness = res.success["happy"][row], res.success["liveness"][row]
+            else:
+                quorum = liveness = res.success["combined"][row]
+            assert (rec.success_quorum, rec.success_liveness) == (quorum, liveness), rid
 
     def test_partial_chunk_samples_only_valid_blocks(self, monkeypatch):
         monkeypatch.setattr(sim_module, "_BLOCK_DRAWS", SMALL_BLOCK_DRAWS)
