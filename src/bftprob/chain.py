@@ -49,7 +49,7 @@ class JointDistribution:
         arr = np.array(self.probs, dtype=float)
         if arr.ndim != 2 or arr.size == 0:
             raise DomainError("probs must be a non-empty 2-d array")
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+        if not (arr.min() >= -1e-12 and arr.max() <= 1.0 + 1e-12):  # NaN fails
             raise DomainError("joint entries must lie in [0, 1]")
         total = float(arr.sum())
         if abs(total - 1.0) > MASS_TOL:

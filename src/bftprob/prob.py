@@ -84,12 +84,14 @@ class Pmf:
     representation for the matrix compositions built on top.  Instances are
     immutable; the mass array is marked read-only.
 
-    Construction checks every entry against [0, 1] and the total against
-    MASS_TOL (raising NormalizationError).  The protocol models chain raw
-    mass arrays through their kernel matrices and validate each phase they
-    emit once, as `Pmf(mass).renormalized()`: every emitted phase, and every
-    result of a public operator, passes these checks while intermediates
-    skip them.
+    Construction checks the smallest and largest entry against [0, 1],
+    within 1e-12, so a NaN or infinite entry raises DomainError as well; it
+    checks the total against MASS_TOL (raising NormalizationError), and
+    clips to [0, 1] only when an entry lies outside.  The protocol models
+    chain raw mass arrays through their kernel matrices and validate each
+    phase they emit once, as `Pmf(mass).renormalized()`: every emitted
+    phase, and every result of a public operator, passes these checks while
+    intermediates skip them.
     """
 
     mass: np.ndarray
@@ -98,14 +100,17 @@ class Pmf:
         arr = np.array(self.mass, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("mass must be a non-empty 1-d array")
-        if (arr < -_ENTRY_TOL).any() or (arr > 1.0 + _ENTRY_TOL).any():
+        lo, hi = arr.min(), arr.max()
+        # Written so that a NaN entry, which fails every comparison, raises.
+        if not (lo >= -_ENTRY_TOL and hi <= 1.0 + _ENTRY_TOL):
             raise DomainError("mass entries must lie in [0, 1]")
         total = float(arr.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise NormalizationError(
                 f"mass sums to {total!r}; drift exceeds {MASS_TOL}"
             )
-        np.clip(arr, 0.0, 1.0, out=arr)
+        if lo < 0.0 or hi > 1.0:
+            np.clip(arr, 0.0, 1.0, out=arr)
         arr.flags.writeable = False
         object.__setattr__(self, "mass", arr)
 
@@ -203,7 +208,8 @@ _table_lock = threading.Lock()
 
 def _coefficient_rows(trials: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     """_coefficients(trials, top), sliced or gathered from the shared table,
-    which first grows to counts 0..top if it holds fewer."""
+    which first grows to counts 0..top if it holds fewer.  A run of counts
+    trials[0]..top is sliced, not copied."""
     if top > MAX_REPLICAS:
         return _coefficients(trials, top)
     global _table
@@ -226,26 +232,35 @@ def binom_rows(trials, p) -> np.ndarray:
     """Matrix whose row i is Binomial(trials[i], p[i]) over 0..max(trials).
 
     p is one rate or one per row, and entries past trials[i] are zero.
-    Every row is exp(log C(t, k) + k log p + (t - k) log1p(-p)).  log C(t, k),
-    -inf past the row's trials, and t - k are sliced (for a run of counts)
-    or gathered from the shared table, so a call only adds the two rate
-    terms and takes exp.  The table grows to counts 0..max(trials), never
-    past MAX_REPLICAS; over counts 0..T it holds 1.4 MiB at T = 301 and
-    15.3 MiB at T = 1,000.  A call past MAX_REPLICAS builds its own rows,
-    for its trials only.  Inputs are not validated: this is the unchecked
-    path under the kernel matrices of the models and every binomial range.
+    Every row is exp(log C(t, k) + k log p + (t - k) log1p(-p)), to the
+    same bits whether its rate is passed as the one scalar or as its entry
+    of a vector.  A rate of 0 or 1 makes the row a point mass, at 0 or at
+    trials[i]: one scalar rate is tested for that as a Python float, and a
+    vector's degenerate rows are found once and rewritten by index.
+    log C(t, k), -inf past the row's trials, and t - k are sliced (for a
+    run of counts) or gathered from the shared table, so a call only adds
+    the two rate terms and takes exp.  The table grows to counts
+    0..max(trials), never past MAX_REPLICAS; over counts 0..T it holds
+    1.4 MiB at T = 301 and 15.3 MiB at T = 1,000.  A call past MAX_REPLICAS
+    builds its own rows, for its trials only.  Inputs are not validated:
+    this is the unchecked path under the kernel matrices of the models and
+    every binomial range.
     """
     trials = np.asarray(trials, dtype=np.intp)
-    p = np.asarray(p, dtype=float)
     top = int(trials.max())
     coef, below = _coefficient_rows(trials, top)
-    # Degenerate rates would put log(0) into the sum; they are point masses,
+    # Degenerate rates would put log(0) into the sum; their point masses are
     # written over rows evaluated at a harmless stand-in rate, so both rate
     # terms stay finite and -inf past each row stays -inf.
-    degenerate = (p == 0.0) | (p == 1.0)
-    rate = np.where(degenerate, 0.5, p)
-    if rate.ndim:
-        rate = rate[:, None]
+    p = np.asarray(p, dtype=float)
+    if p.ndim:
+        degenerate = (p == 0.0) | (p == 1.0)
+        dead = np.flatnonzero(degenerate)
+        rate = (np.where(degenerate, 0.5, p) if len(dead) else p)[:, None]
+    else:
+        p = float(p)
+        dead = np.arange(len(trials)) if p == 0.0 or p == 1.0 else ()
+        rate = 0.5 if len(dead) else p
     logs = coef + np.arange(top + 1) * np.log(rate)
     logs += below * np.log1p(-rate)
     if logs.size < 4096:  # here the mask below costs more than it saves
@@ -254,14 +269,12 @@ def binom_rows(trials, p) -> np.ndarray:
         # exp is several times slower where its result underflows to zero
         # (all of each row past its trials, and far tails at large n);
         # those entries are written as the zero that exp would give.
-        dead = logs <= _EXP_ZERO
-        rows = np.exp(logs, out=logs, where=~dead)
-        np.copyto(rows, 0.0, where=dead)
-    if degenerate.any():
-        zero, one = np.broadcast_to(p == 0.0, trials.shape), np.broadcast_to(p == 1.0, trials.shape)
-        rows[zero | one] = 0.0
-        rows[zero, 0] = 1.0
-        rows[one, trials[one]] = 1.0
+        zero = logs <= _EXP_ZERO
+        rows = np.exp(logs, out=logs, where=~zero)
+        np.copyto(rows, 0.0, where=zero)
+    if len(dead):
+        rows[dead] = 0.0
+        rows[dead, np.where(p == 0.0, 0, trials)[dead]] = 1.0
     return rows
 
 
@@ -269,7 +282,8 @@ def _window_sums(rows: np.ndarray, trials: np.ndarray, k_lo: int, k_hi: int) -> 
     """Entry i is P(k_lo <= Binomial(trials[i], p) <= k_hi), from rows[i],
     that law's masses at counts k_lo..min(k_hi, max(trials)), clamped as
     binom_ranges documents."""
-    out = np.clip(rows.sum(axis=1), 0.0, 1.0)
+    out = rows.sum(axis=1)
+    np.minimum(out, 1.0, out=out)  # a sum of non-negative masses is >= +0
     if k_lo == 0:
         out[trials <= k_hi] = 1.0
     return out

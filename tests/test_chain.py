@@ -206,3 +206,10 @@ class TestMassConservation:
     def test_joint_rejects_bad_entries(self):
         with pytest.raises(DomainError):
             JointDistribution(np.array([[1.5, -0.5], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_joint_rejects_non_finite_entry(self, bad):
+        with pytest.raises(DomainError):
+            JointDistribution(np.array([[bad, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DomainError):
+            JointDistribution(np.array([[0.5, 0.0], [bad, 0.5]]))

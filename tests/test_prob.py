@@ -1,16 +1,23 @@
 """Binomial primitives against exact-rational and high-precision oracles."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import binom_pmf, scalar_binom_range
 
+import bftprob
 from bftprob import (
     DomainError,
     FailureParams,
@@ -129,6 +136,19 @@ def test_log_factorial_table_is_scipy_gammaln():
     assert np.array_equal(table, scipy.special.gammaln(np.arange(len(table)) + 1.0))
 
 
+def test_import_and_evaluation_leave_scipy_unloaded():
+    # scipy.special alone costs ~22 MB and ~0.3 s of every process start.
+    code = (
+        "import sys\n"
+        "from bftprob import FailureParams, ProtocolConfig, model_trace\n"
+        "model_trace(ProtocolConfig('pbft', 4, 1), FailureParams(0.05, 0.01))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bftprob.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestBinomRows:
     def test_rows_match_scalar(self):
         trials = np.array([0, 3, 7, 30, 200])
@@ -165,6 +185,41 @@ class TestBinomRows:
         row = binom_rows([1000], 0.9)[0]
         assert row[900] == pytest.approx(binom_pmf(1000, 0.9, 900), rel=1e-10)
         assert float(row.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+# Rates 0 and 1 take the point-mass path; sizes stay below the 4,096 entries
+# past which binom_rows masks exp, so every call below takes the same branch.
+_RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _trials(draw):
+    """Trial counts shaped as the models pass them: a run of counts, the
+    commit kernels' max(counts - 1, 0), SBFT's repeated collector count, or
+    an unsorted vector with repeats."""
+    counts = np.arange(draw(st.integers(0, 60)) + 1)
+    kind = draw(st.sampled_from(["run", "minus one", "repeated", "unsorted"]))
+    if kind == "run":
+        return counts
+    if kind == "minus one":
+        return np.maximum(counts - 1, 0)
+    if kind == "repeated":
+        return np.full(len(counts), draw(st.integers(0, 5)))
+    return np.array(draw(st.lists(st.integers(0, 60), min_size=1, max_size=40)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trials(), _RATES, st.data())
+def test_scalar_and_vector_rates_agree_bit_for_bit(trials, p, data):
+    rates = np.array(data.draw(st.lists(_RATES, min_size=len(trials), max_size=len(trials))))
+    # A rate of 0 or 1 is evaluated at a stand-in rate, never as log(0).
+    with np.errstate(divide="raise", invalid="raise"):
+        shared = binom_rows(trials, p)
+        assert shared.tobytes() == binom_rows(trials, np.full(len(trials), p)).tobytes()
+        rows = binom_rows(trials, rates)
+        for row, t, rate in zip(rows, trials, rates):
+            assert row[: t + 1].tobytes() == binom_rows([t], rate)[0].tobytes()
+            assert not row[t + 1 :].any()
 
 
 class TestBinomRanges:
@@ -279,6 +334,23 @@ class TestPmfType:
     def test_rejects_bad_total(self):
         with pytest.raises(NormalizationError):
             Pmf(np.array([0.4, 0.4]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(DomainError):
+            Pmf(np.array([bad, 1.0]))
+        with pytest.raises(DomainError):
+            Pmf(np.array([0.5, bad, 0.5]))
+
+    def test_entries_within_tolerance_are_clipped(self):
+        # Entries up to 1e-12 outside [0, 1] are float noise: they are
+        # clipped, and renormalized() scales by the clipped total.
+        raw = np.array([-1e-12, 0.5, 0.5 + 1e-12])
+        pmf = Pmf(raw)
+        clipped = np.array([0.0, 0.5, 0.5 + 1e-12])
+        assert pmf.mass.tobytes() == clipped.tobytes()
+        assert pmf.renormalized().mass.tobytes() == (clipped / clipped.sum()).tobytes()
+        assert Pmf(np.array([1.0 + 5e-13, 0.0])).mass.tolist() == [1.0, 0.0]
 
     def test_mass_is_read_only(self):
         pmf = pmf_binomial(3, 0.5)
