@@ -3,7 +3,8 @@
 A phase step is a row-stochastic kernel matrix K (row y: the pmf of the
 next count given count y), applied as `prior @ K`.  The crash step's K is
 the binomial thinning matrix, cached per (support_max, p_c); the models
-build their link-loss kernels with `prob.binom_rows`.
+build their link-loss kernels with `prob.binom_rows`.  `thin_columns`
+thins each column of a matrix at its own rate, without a kernel matrix.
 
 The closure-based operators `total_probability`, `joint_via_kernel`,
 `total_probability_joint` and `convolve` have no caller in the package.
@@ -72,6 +73,31 @@ def thinning_matrix(support_max: int, p_c: float) -> np.ndarray:
 def thin(mass: np.ndarray, p_c: float) -> np.ndarray:
     """Crash step on raw masses: one pmf (1-d) or a stack of row pmfs (2-d)."""
     return mass @ thinning_matrix(mass.shape[-1] - 1, p_c)
+
+
+def thin_columns(mass: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Thin each column at its own rate: column j of `mass` holds the raw
+    masses of a count X over 0..len(mass)-1, and column j of the result
+    those of Binomial(X, keep[j]).
+
+    Horner's rule on the generating function, W(z) = V(1 - s + s z) with
+    s = keep[j]: from the top count down, the polynomial built so far is
+    multiplied by (1 - s) + s z and the next mass is added.  Each step
+    forms sums of non-negative terms, so nothing cancels, and a rate of 0
+    or 1 gives an exact point mass or copy.  All columns advance together,
+    each step over the counts that can be nonzero so far.
+    """
+    out = np.zeros_like(mass)
+    carry = np.empty_like(mass)
+    stay = 1.0 - keep
+    out[0] = mass[-1]
+    for i in range(len(mass) - 2, -1, -1):
+        top = len(mass) - 1 - i  # the polynomials' degree after this step
+        np.multiply(out[:top], keep, out=carry[:top])
+        out[:top] *= stay
+        out[1 : top + 1] += carry[:top]
+        out[0] += mass[i]
+    return out
 
 
 def crash_step(prior: Pmf, p_c: float) -> Pmf:

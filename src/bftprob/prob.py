@@ -235,46 +235,53 @@ def binom_rows(trials, p) -> np.ndarray:
     Every row is exp(log C(t, k) + k log p + (t - k) log1p(-p)), to the
     same bits whether its rate is passed as the one scalar or as its entry
     of a vector.  A rate of 0 or 1 makes the row a point mass, at 0 or at
-    trials[i]: one scalar rate is tested for that as a Python float, and a
-    vector's degenerate rows are found once and rewritten by index.
-    log C(t, k), -inf past the row's trials, and t - k are sliced (for a
-    run of counts) or gathered from the shared table, so a call only adds
-    the two rate terms and takes exp.  The table grows to counts
-    0..max(trials), never past MAX_REPLICAS; over counts 0..T it holds
-    1.4 MiB at T = 301 and 15.3 MiB at T = 1,000.  A call past MAX_REPLICAS
-    builds its own rows, for its trials only.  Inputs are not validated:
-    this is the unchecked path under the kernel matrices of the models and
-    every binomial range.
+    trials[i], which is written directly and never evaluated: a scalar rate
+    is tested for that as a Python float, and a vector's degenerate rows are
+    found once, so only its other rows go through log space.  log C(t, k),
+    -inf past the row's trials, and t - k are sliced (for a run of counts)
+    or gathered from the shared table, so a call only adds the two rate
+    terms and takes exp.  The table grows to counts 0..max(trials), never
+    past MAX_REPLICAS, unless every rate is degenerate; over counts 0..T it
+    holds 1.4 MiB at T = 301 and 15.3 MiB at T = 1,000.  A call past
+    MAX_REPLICAS builds its own rows, for its trials only.  Inputs are not
+    validated: this is the unchecked path under the kernel matrices of the
+    models and every binomial range.
     """
     trials = np.asarray(trials, dtype=np.intp)
     top = int(trials.max())
-    coef, below = _coefficient_rows(trials, top)
-    # Degenerate rates would put log(0) into the sum; their point masses are
-    # written over rows evaluated at a harmless stand-in rate, so both rate
-    # terms stay finite and -inf past each row stays -inf.
     p = np.asarray(p, dtype=float)
     if p.ndim:
         degenerate = (p == 0.0) | (p == 1.0)
         dead = np.flatnonzero(degenerate)
-        rate = (np.where(degenerate, 0.5, p) if len(dead) else p)[:, None]
+        if not len(dead):
+            return _log_space_rows(trials, top, p[:, None])
+        live, at_top = np.flatnonzero(~degenerate), p[dead] == 1.0
     else:
         p = float(p)
-        dead = np.arange(len(trials)) if p == 0.0 or p == 1.0 else ()
-        rate = 0.5 if len(dead) else p
+        if p != 0.0 and p != 1.0:
+            return _log_space_rows(trials, top, p)
+        dead, live, at_top = np.arange(len(trials)), (), p == 1.0
+    rows = np.zeros((len(trials), top + 1))
+    if len(live):
+        rows[live] = _log_space_rows(trials[live], top, p[live, None])
+    rows[dead, np.where(at_top, trials[dead], 0)] = 1.0
+    return rows
+
+
+def _log_space_rows(trials: np.ndarray, top: int, rate) -> np.ndarray:
+    """binom_rows(trials, rate) over counts 0..top for rates strictly
+    between 0 and 1: one scalar, or a column with one rate per row."""
+    coef, below = _coefficient_rows(trials, top)
     logs = coef + np.arange(top + 1) * np.log(rate)
     logs += below * np.log1p(-rate)
     if logs.size < 4096:  # here the mask below costs more than it saves
-        rows = np.exp(logs, out=logs)
-    else:
-        # exp is several times slower where its result underflows to zero
-        # (all of each row past its trials, and far tails at large n);
-        # those entries are written as the zero that exp would give.
-        zero = logs <= _EXP_ZERO
-        rows = np.exp(logs, out=logs, where=~zero)
-        np.copyto(rows, 0.0, where=zero)
-    if len(dead):
-        rows[dead] = 0.0
-        rows[dead, np.where(p == 0.0, 0, trials)[dead]] = 1.0
+        return np.exp(logs, out=logs)
+    # exp is several times slower where its result underflows to zero (all
+    # of each row past its trials, and far tails at large n); those entries
+    # are written as the zero that exp would give.
+    zero = logs <= _EXP_ZERO
+    rows = np.exp(logs, out=logs, where=~zero)
+    np.copyto(rows, 0.0, where=zero)
     return rows
 
 

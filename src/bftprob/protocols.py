@@ -14,8 +14,10 @@ come from `prob.binom_rows`, and crash steps use the cached
 table for t = 0..n; C_1 is a row of it, and every quorum rate on 1 - p_l is
 a window sum over its rows (`prob.table_ranges`).  Only the phases a
 PhaseTrace emits become validated Pmfs, once each.  Where a step
-conditions on two earlier phases (BFT-SMaRt's commit, SBFT's relay), the
-joint law is a matrix and the step is factored per value of one parent.
+conditions on two earlier phases, the joint law is a matrix.  SBFT's relay
+is factored per value of one parent, the relay count.  BFT-SMaRt's commit
+thins every column of its joint at that column's own skip rate in one pass
+(`chain.thin_columns`) and adds the members by one product.
 
 Quorum thresholds live in per-protocol tables derived from the config; the
 four models differ only in pattern wiring and those thresholds.
@@ -30,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .chain import crash_step, thin, thinning_matrix
+from .chain import crash_step, thin, thin_columns, thinning_matrix
 from .prob import (
     MAX_REPLICAS,
     DomainError,
@@ -230,11 +232,10 @@ def pbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     primary = table_ranges(table, holders, th["primary_prepare"], n)
     p2 = table_ranges(table, np.maximum(holders - 1, 0), max(th["prepare_from_others"], 0), n)
     replicas = binom_rows(holders, p2)
-    # C_2 counts the primary too: convolve each row with its quorum event.
-    prepare = np.zeros((n, n + 1))
-    prepare[:, :-1] = replicas * (1.0 - primary)[:, None]
-    prepare[:, 1:] += replicas * primary[:, None]
-    c2 = n1 @ prepare
+    # C_2 counts the primary too: it adds one where its quorum event holds.
+    c2 = np.zeros(n + 1)
+    c2[:-1] = (n1 * (1.0 - primary)) @ replicas
+    c2[1:] += (n1 * primary) @ replicas
     n2 = thin(c2, pc)
 
     # A node needs 2f commits beyond its own, impossible unless more than
@@ -282,28 +283,39 @@ def smart_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
 
     # y broadcast holders plus the primary all collect from y writers.
     p2 = table_ranges(table, counts[:n], th["write_from_others"], n)
-    write = binom_rows(counts[:n] + 1, p2)
-    c2 = n1 @ write
-    joint = n1[:, None] * thin(write, pc)  # P(N1 = y, N2 = m)
-    n2 = joint.sum(axis=0)
+    c2 = n1 @ binom_rows(counts[:n] + 1, p2)
+    n2 = thin(c2, pc)
 
     # m commit broadcasters each finish with p_member(m); the other y+1-m
-    # candidates may skip the write quorum by collecting 2f+1 full commits.
+    # candidates may skip the write quorum by collecting 2f+1 full commits,
+    # each with p_skip(m).  Where p_skip(m) = 0 nobody skips, so C_3 mixes
+    # the member rows over N_2 alone.
     p_member = table_ranges(table, np.maximum(counts - 1, 0), th["commit_from_others"], n)
     p_skip = table_ranges(table, counts, th["commit_skip"], n)
     members = binom_rows(counts, p_member)
-    # Where p_skip(m) = 0 nobody skips, so C_3 mixes the member rows over
-    # N_2 alone.  Elsewhere the y+1-m candidates have the law of column m of
-    # the joint shifted by 1-m, and each finishes with p_skip(m): thin that
-    # law (unless p_skip is exactly 1) and add the members by convolution.
-    # p_skip(0) = 0, so m >= 1 in the loop.
-    dead = p_skip == 0.0
-    c3 = np.where(dead, n2, 0.0) @ members
-    for m in np.flatnonzero(~dead):
-        skippers = joint[m - 1:, m]
-        if p_skip[m] < 1.0:
-            skippers = skippers @ binom_rows(np.arange(len(skippers)), p_skip[m])
-        c3 += np.convolve(members[m, : m + 1], skippers)
+    live = np.flatnonzero(p_skip)
+    c3 = np.where(p_skip == 0.0, n2, 0.0) @ members
+    if len(live):
+        # Elsewhere, given N_2 = m, the y+1-m candidates have the law of
+        # column m of the joint P(N1 = y, N2 = m), and they skip at
+        # p_skip(m).  Only rows y >= live[0] - 1 of the joint reach a live
+        # column, and only they are built: a write row thinned by crashes
+        # is Binomial(y+1, p2(y) (1 - p_c)).  Zero rows pad it past
+        # y = n-1, where the gather below reads the counts a column lacks.
+        lo = live[0] - 1
+        width = n - lo  # candidate counts 0..n-live[0]
+        joint = np.zeros((2 * width, n + 1))
+        np.multiply(n1[lo:, None], binom_rows(counts[lo:n] + 1, p2[lo:] * (1.0 - pc)),
+                    out=joint[:width])
+        candidates = joint[np.arange(width)[:, None] + live - 1 - lo, live]
+        skippers = thin_columns(candidates, p_skip[live])
+        # C_3 adds the members to the skippers: one product over m gives
+        # entry [s, x] for s skippers and x members, and C_3 sums it along
+        # its anti-diagonals s + x (a view of the zero-padded product whose
+        # rows are one entry shorter).
+        mixed = np.zeros((width, n + 1 + width))
+        mixed[:, : n + 1] = skippers @ members[live]
+        c3 += mixed.ravel()[: width * (n + width)].reshape(width, n + width)[:, : n + 1].sum(axis=0)
     n3 = thin(c3, pc)
 
     phases = _finalize(
@@ -410,9 +422,12 @@ def sbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     pn = np.maximum(1.0 - pf - ps, 0.0)
 
     # Collector rebroadcast from j holders: they keep the certificate, and
-    # each of the other n-j replicas gets it unless all j copies drop.
+    # each of the other n-j replicas gets it unless all j copies drop.  One
+    # array of these rates serves the rebroadcast and the relay below, so
+    # both use the same bits for each j.
     holders = np.arange(m + 1)
-    spread = binom_rows(n - holders, 1.0 - pl**holders)
+    reach = 1.0 - pl**holders
+    spread = binom_rows(n - holders, reach)
     rebroadcast = np.zeros((m + 1, n + 1))
     for j in holders:
         rebroadcast[j, j:] = spread[j, : n + 1 - j]
@@ -453,7 +468,9 @@ def sbft_model(config: ProtocolConfig, fp: FailureParams) -> PhaseTrace:
     c5 = np.zeros(n + 1)
     relay_given = np.empty((n + 1, m + 1, 2))  # [y, j, outcome]
     for j in holders:
-        relay = binom_rows(np.arange(n - j + 1), 1.0 - pl**j)  # row r: r receivers
+        # Row r: r receivers.  One holder reaches at 1 - p_l, bit for bit q,
+        # so the table already holds those rows.
+        relay = table[:n, :n] if j == 1 else binom_rows(np.arange(n - j + 1), reach[j])
         receivers = np.maximum(counts - j, 0)
         c5[j:] += np.bincount(receivers, weights=joint[:, j], minlength=n - j + 1) @ relay
         relay_given[:, j] = (relay @ exec_given[j:])[receivers]

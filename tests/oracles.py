@@ -9,6 +9,9 @@ exported, kept as per-count references for `binom_rows` and `binom_ranges`.
 `binom_rows_reference` is `binom_rows` as it was before the shared
 coefficient table: every call evaluates its rows from scratch, so it is the
 bit-for-bit reference for the table's slices, gathers and growth.
+`smart_skip_reference` is BFT-SMaRt's commit step as the model computed it
+before its batched thinning: one binomial thinning matrix and one
+convolution per N_2 count.
 """
 
 import itertools
@@ -78,6 +81,37 @@ def binom_rows_reference(trials, p) -> np.ndarray:
         rows[zero, 0] = 1.0
         rows[one, trials[one]] = 1.0
     return rows
+
+
+def smart_skip_reference(config, fp) -> dict[str, np.ndarray]:
+    """BFT-SMaRt's C_3 and N_3, finalized as the model emits them, by the
+    per-m formula: the joint law of (N_1, N_2) is the write kernel thinned
+    by the crash matrix, and for each N_2 = m with p_skip(m) > 0 the
+    y+1-m candidates of column m are thinned by a Binomial(., p_skip(m))
+    matrix (unless p_skip(m) is 1) and convolved with the member row."""
+    from bftprob.chain import thin
+    from bftprob.prob import Pmf, table_ranges
+
+    n, th, pc = config.n, config.thresholds(), fp.p_c
+    counts = np.arange(n + 1)
+    table = binom_rows(counts, 1.0 - fp.p_l)
+    n1 = thin(table[n - 1, :n], pc)
+    p2 = table_ranges(table, counts[:n], th["write_from_others"], n)
+    write = binom_rows(counts[:n] + 1, p2)
+    joint = n1[:, None] * thin(write, pc)  # P(N1 = y, N2 = m)
+    n2 = joint.sum(axis=0)
+    p_member = table_ranges(table, np.maximum(counts - 1, 0), th["commit_from_others"], n)
+    p_skip = table_ranges(table, counts, th["commit_skip"], n)
+    members = binom_rows(counts, p_member)
+    dead = p_skip == 0.0
+    c3 = np.where(dead, n2, 0.0) @ members
+    for m in np.flatnonzero(~dead):
+        skippers = joint[m - 1 :, m]
+        if p_skip[m] < 1.0:
+            skippers = skippers @ binom_rows(np.arange(len(skippers)), p_skip[m])
+        c3 += np.convolve(members[m, : m + 1], skippers)
+    n3 = thin(c3, pc)
+    return {"C3": Pmf(c3).renormalized().mass, "N3": Pmf(n3).renormalized().mass}
 
 
 def scalar_binom_range(n: int, p: float, k_lo: int, k_hi: int) -> float:

@@ -82,6 +82,16 @@ def test_table_grows_only_to_the_counts_a_call_needs(fresh_table):
         assert not part.flags.writeable
 
 
+def test_degenerate_rates_leave_the_table_alone(fresh_table):
+    # Point masses need no coefficients, so the table does not grow for them.
+    binom_rows(np.arange(301), 0.0)
+    binom_rows([300, 5], 1.0)
+    binom_rows(np.arange(301), np.resize([0.0, 1.0], 301))
+    assert table_counts() == 0
+    binom_rows(np.arange(301), np.resize([0.0, 0.5], 301))
+    assert table_counts() == 301
+
+
 def model_bytes(trace) -> bytes:
     """Every phase mass and path value of a trace, as raw bytes."""
     parts = [name.encode() + pmf.mass.tobytes() for name, pmf in trace.phases]

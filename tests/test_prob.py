@@ -175,6 +175,20 @@ class TestBinomRows:
         assert rows[3].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
         assert np.all(np.isfinite(rows))
 
+    @pytest.mark.parametrize("trials", [[0, 3, 301, 7, 301], np.arange(302), [5]])
+    def test_only_degenerate_rates_give_exact_point_masses(self, trials):
+        # A scalar 0 or 1, or a vector of only 0s and 1s, is written
+        # directly: each row is exactly one 1.0 at count 0 or at its
+        # trials, zeros elsewhere, with no log(0) on the way.
+        trials = np.asarray(trials)
+        rows = np.arange(len(trials))
+        mixed = np.resize([0.0, 1.0, 1.0], len(trials))
+        with np.errstate(divide="raise", invalid="raise"):
+            for p in (0.0, 1.0, np.zeros(len(trials)), np.ones(len(trials)), mixed):
+                expected = np.zeros((len(trials), trials.max() + 1))
+                expected[rows, np.where(np.broadcast_to(p, trials.shape) == 1.0, trials, 0)] = 1.0
+                assert binom_rows(trials, p).tobytes() == expected.tobytes()
+
     def test_beyond_log_factorial_table(self):
         # Log-space terms near log(3000!) ~ 2e4 carry ~1e-12 relative error.
         row = binom_rows([3000], 0.5)[0]
@@ -187,8 +201,9 @@ class TestBinomRows:
         assert float(row.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
-# Rates 0 and 1 take the point-mass path; sizes stay below the 4,096 entries
-# past which binom_rows masks exp, so every call below takes the same branch.
+# Rates 0 and 1 take the point-mass path.  Counts up to 60 keep a call below
+# the 4,096 entries past which binom_rows masks exp; counts up to 301 take
+# the masked branch, which must give the bits of a one-row, unmasked call.
 _RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
@@ -197,7 +212,8 @@ def _trials(draw):
     """Trial counts shaped as the models pass them: a run of counts, the
     commit kernels' max(counts - 1, 0), SBFT's repeated collector count, or
     an unsorted vector with repeats."""
-    counts = np.arange(draw(st.integers(0, 60)) + 1)
+    top = draw(st.integers(0, 60) | st.integers(61, 301))
+    counts = np.arange(top + 1)
     kind = draw(st.sampled_from(["run", "minus one", "repeated", "unsorted"]))
     if kind == "run":
         return counts
@@ -205,7 +221,7 @@ def _trials(draw):
         return np.maximum(counts - 1, 0)
     if kind == "repeated":
         return np.full(len(counts), draw(st.integers(0, 5)))
-    return np.array(draw(st.lists(st.integers(0, 60), min_size=1, max_size=40)))
+    return np.array(draw(st.lists(st.integers(0, top), min_size=1, max_size=40)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import binom_pmf, crash_chain_enumeration, pbft_no_links_enumeration
+from oracles import binom_pmf, crash_chain_enumeration, pbft_no_links_enumeration, smart_skip_reference
 
 from bftprob import (
     DomainError,
@@ -166,6 +166,31 @@ class TestSmartModel:
             smart_model(ProtocolConfig("bft-smart", 10, 3), harsh).path_success["happy"]
             < pbft_model(ProtocolConfig("pbft", 10, 3), harsh).path_success["happy"]
         )
+
+
+# The acceptance grid's rates, plus p_l = 1; p_l = 0 makes every live
+# p_skip exactly 1, and p_c = 0 leaves the write rows unthinned.
+SKIP_PL = (0.0, 0.05, 0.1, 0.2, 0.4, 1.0)
+SKIP_PC = (0.0, 0.05, 0.1, 0.2, 0.4)
+
+
+@pytest.mark.parametrize("n", [4, 7, 10, 13, 31, 100])
+def test_smart_skip_path_matches_per_m_reference(n):
+    # The batched thinning against one thinning matrix and one convolution
+    # per N_2 count: within 1e-15 everywhere, and within 1e-12 relative on
+    # every entry the small-count tails are summed from.
+    config = ProtocolConfig("bft-smart", n, (n - 1) // 3)
+    for pl in SKIP_PL:
+        for pc in SKIP_PC:
+            fp = FailureParams(pl, pc)
+            trace = smart_model(config, fp)
+            for name, expected in smart_skip_reference(config, fp).items():
+                got = trace.phase(name).mass
+                assert np.max(np.abs(got - expected)) <= 1e-15, (pl, pc, name)
+                tail = expected >= 1e-290
+                rel = np.abs(got[tail] - expected[tail]) / expected[tail]
+                assert rel.max(initial=0.0) <= 1e-12, (pl, pc, name)
+                assert np.all(got[~tail] < 1e-280), (pl, pc, name)
 
 
 class TestZyzzyvaModel:
