@@ -126,7 +126,10 @@ class TimeoutEstimate:
     often-quoted lower figure).  at_complement_quantile: t with
     P(delay > t) = boundary_rate, i.e. the timeout whose miss probability
     equals the boundary rate.  The two disagree whenever rate != 0.5; both
-    are emitted so either reading can be compared.
+    are emitted so either reading can be compared.  They are mirror images
+    about mu, since Phi^-1(1 - r) = -Phi^-1(r): at_complement_quantile is
+    mu - sigma z with z = Phi^-1(r), which stays accurate for rates so
+    small that 1 - r rounds to 1.
     """
 
     mu: float
@@ -145,13 +148,12 @@ def timeout_for_boundary(mu: float, sigma: float, boundary_rate: float) -> Timeo
     if not 0.0 < boundary_rate < 1.0:
         raise DomainError(f"boundary_rate must lie in (0, 1), got {boundary_rate}")
     z_rate = normal_quantile(boundary_rate)
-    z_comp = normal_quantile(1.0 - boundary_rate)
     return TimeoutEstimate(
         mu=mu,
         sigma=sigma,
         boundary_rate=boundary_rate,
         at_rate_quantile=mu + sigma * z_rate,
-        at_complement_quantile=mu + sigma * z_comp,
+        at_complement_quantile=mu - sigma * z_rate,
     )
 
 
@@ -161,23 +163,17 @@ def quorum_asymptote(p, q) -> float:
     1 if p < 1-q, 0 if p > 1-q, 0.5 on the knife edge.  Exact arithmetic is
     used when both arguments are Fractions; floats compare within 1e-12.
     """
-    p_frac = Fraction(p) if isinstance(p, (Fraction, int)) else None
-    q_frac = Fraction(q) if isinstance(q, (Fraction, int)) else None
     if not 0.0 <= float(p) <= 1.0:
         raise DomainError(f"p must lie in [0, 1], got {p}")
     if not 0.0 < float(q) < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    if p_frac is not None and q_frac is not None:
-        gap = (1 - q_frac) - p_frac
-        if gap > 0:
-            return 1.0
-        if gap < 0:
-            return 0.0
-        return 0.5
-    gap = (1.0 - float(q)) - float(p)
-    if gap > 1e-12:
+    if isinstance(p, (Fraction, int)) and isinstance(q, (Fraction, int)):
+        gap, tol = (1 - Fraction(q)) - Fraction(p), 0
+    else:
+        gap, tol = (1.0 - float(q)) - float(p), 1e-12
+    if gap > tol:
         return 1.0
-    if gap < -1e-12:
+    if gap < -tol:
         return 0.0
     return 0.5
 

@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -65,8 +66,24 @@ def _check_prob(p: float, name: str = "p") -> float:
 
 @dataclass(frozen=True)
 class FailureParams:
-    """Failure rates: p_l drops a single message, p_c knocks a process out
-    of one whole phase."""
+    """Failure rates: p_l drops a single message; p_c crashes a process at
+    one crash step.
+
+    The crash rule, which the models and the simulator share: every process
+    that holds a phase's state takes one independent crash draw with p_c at
+    that phase's crash step (N_i), and a crash removes it, as sender and as
+    receiver, from every later phase of the request.  Three phases reach
+    beyond the previous step's survivors, a modelling choice the paper's
+    abstract does not settle:
+
+    - BFT-SMaRt's commit skip path: every order holder outside the write
+      quorum's survivors (`pool & ~n2`), crashed at N2 or not, may still
+      finish on a full commit quorum.
+    - Zyzzyva's commit certificate goes to all n replicas.
+    - SBFT's collector rebroadcasts from j holders go to the other n - j
+      replicas, crashed at N1 or not, and its slow-path relay goes to the
+      n1 - j order holders that survived N1, whatever their later draws.
+    """
 
     p_l: float
     p_c: float
@@ -347,52 +364,14 @@ def pmf_binomial(n: int, p: float) -> Pmf:
     return Pmf(binom_rows([n], p)[0])
 
 
-def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-# Rational approximation coefficients for the inverse normal CDF
-# (P. Acklam's algorithm; absolute error ~1.15e-9 before refinement).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
 def normal_quantile(prob: float) -> float:
     """Inverse standard normal CDF: the z with Phi(z) = prob.
 
-    Rational approximation refined by one Newton step on the erf relation
-    Phi(z) = (1 + erf(z/sqrt 2))/2; absolute error well under 1e-8.
+    `statistics.NormalDist.inv_cdf`, Wichura's algorithm AS 241 (PPND16),
+    accurate to about 1e-16 relative: within 4e-16 of a 50-digit reference
+    at every point checked, from 5e-324 to 1 - 1e-15.
     """
     prob = float(prob)
     if math.isnan(prob) or not 0.0 < prob < 1.0:
         raise DomainError(f"prob must lie in (0, 1), got {prob!r}")
-
-    if prob < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(prob))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    elif prob <= 1.0 - _P_LOW:
-        q = prob - 0.5
-        r = q * q
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / (
-            ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-prob))
-        x = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-
-    # One Newton step: x -= (Phi(x) - prob) / phi(x).
-    density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if density > 0.0:
-        x -= (_normal_cdf(x) - prob) / density
-    return x
+    return NormalDist().inv_cdf(prob)

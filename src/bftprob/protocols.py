@@ -3,9 +3,9 @@
 Each model walks the protocol's communication pattern as an alternating
 chain of link-failure collection steps (C_i) and crash thinning steps (N_i),
 emitting the per-phase count distributions and the path success
-probabilities.  A crash drawn at chain step i removes a process from every
-later phase; within a phase, message deliveries are independent Bernoulli
-trials with success 1 - p_l.
+probabilities.  Crashes follow the rule stated on `prob.FailureParams`,
+exceptions included; within a phase, message deliveries are independent
+Bernoulli trials with success 1 - p_l.
 
 Every step is a dense row-stochastic kernel matrix, built once per
 evaluation, and the step is `prior @ K` on raw mass arrays: binomial rows

@@ -2,10 +2,10 @@
 
 Phase-stepped, no time axis: each request walks the protocol's message
 pattern, dropping every point-to-point delivery independently with p_l and
-drawing one crash Bernoulli per process per chain step with p_c.  A crash
-drawn at step i removes the process from every later phase's sender and
-receiver sets; quorum counting follows the analytic models exactly (own
-messages and the pre-prepare count where the protocol says they do).
+drawing one crash Bernoulli per process per chain step with p_c.  Crashes
+follow the rule stated on `prob.FailureParams`, exceptions included;
+quorum counting follows the analytic models exactly (own messages and the
+pre-prepare count where the protocol says they do).
 
 Determinism: requests are simulated in fixed-size chunks; each chunk draws
 from a Philox stream keyed by blake2b(seed, chunk index), and every chunk
@@ -96,7 +96,9 @@ class SimRecord:
 
     request_id: int
     highest_phase: np.ndarray  # per replica, index into phase_names
-    crash_step: np.ndarray  # chain step of the removing crash draw, -1 if none
+    # per replica, 1-based position of the removing draw in the protocol's
+    # list of replica crash draws (Zyzzyva's 2 is N3), -1 if none
+    crash_step: np.ndarray
     phase_names: tuple[str, ...]
     path: str
     success_quorum: bool  # final count reached 2f+1 (or a path completed)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,15 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "87.18" in out and "112.81" in out
         assert "rate quantile" in out and "complement quantile" in out
+
+    def test_timeout_at_a_rate_below_double_resolution_of_one(self, capsys):
+        """1 - 1e-20 rounds to 1.0; the complement quantile comes by symmetry."""
+        argv = ["analyze", "timeout", "--mu", "100", "--sigma", "10", "--rate", "1e-20"]
+        assert main(argv) == EXIT_OK
+        lo, hi = (float(line.split("=")[1].split()[0])
+                  for line in capsys.readouterr().out.splitlines())
+        assert math.isfinite(lo) and math.isfinite(hi) and lo < 100.0 < hi
+        assert (lo + hi) / 2 == pytest.approx(100.0, rel=1e-15)
 
     def test_asymptote_cases(self, capsys):
         main(["analyze", "asymptote", "--p", "0.2", "--q", "0.6667"])

@@ -342,6 +342,24 @@ class TestNormalQuantile:
             normal_quantile(bad)
 
 
+def _quantile_oracle(prob: float) -> mpmath.mpf:
+    """The z with Phi(z) = prob, as a 50-digit mpmath root of log ncdf (the
+    logarithm keeps Newton's stopping test meaningful in the far tail)."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(prob)
+        if p > 0.5:
+            return -_quantile_oracle(1 - p)
+        start = -mpmath.sqrt(-2 * mpmath.log(p))
+        return mpmath.findroot(lambda x: mpmath.log(mpmath.ncdf(x)) - mpmath.log(p), start)
+
+
+@pytest.mark.parametrize("prob", [5e-324, 1e-300, 1e-30, 1e-15, 1e-6, 0.995, 1.0 - 1e-10])
+def test_normal_quantile_matches_mpmath_root(prob):
+    """Full double precision from the subnormal tail to 1 - 1e-10."""
+    ref = _quantile_oracle(prob)
+    assert float(abs((normal_quantile(prob) - ref) / ref)) <= 1e-15
+
+
 class TestPmfType:
     def test_rejects_negative_mass(self):
         with pytest.raises(DomainError):

@@ -14,7 +14,7 @@ from bftprob import (
     simulate_request,
     validate_model,
 )
-from bftprob.sim import CHUNK, _run_chunk
+from bftprob.sim import CHUNK, _run_chunk, _sample
 
 
 def _sim(proto="pbft", n=4, f=1, c=0, pl=0.1, pc=0.1, requests=2000, seed=7):
@@ -124,6 +124,28 @@ class TestRecords:
         rec = simulate_request(_sim(requests=10), 0)
         assert rec.phase_names[0] == "start"
         assert "N3" in rec.phase_names
+
+
+# The crash rule of FailureParams on the record arrays: the highest phases a
+# replica reaches after its crash draw at each step.  A crash step caps
+# progress at the collection phase before it, except where a later phase
+# reaches beyond its predecessor's survivors: BFT-SMaRt's skip candidates,
+# Zyzzyva's certificate (sent to all n) and SBFT's rebroadcasts (n - j
+# receivers, tracked on count slots rather than replicas).
+CRASH_REACH = {
+    ("pbft", 7, 2, 0): {1: {"C1"}, 2: {"C2"}, 3: {"C3"}},
+    ("bft-smart", 7, 2, 0): {1: {"C1"}, 2: {"C2", "C3", "N3"}, 3: {"C3"}},
+    ("zyzzyva", 7, 2, 0): {1: {"C1", "C3", "N3"}, 2: {"C3"}},
+    ("sbft", 6, 1, 1): {1: {"C1", "C3_slot", "N5_slot"}},
+}
+
+
+@pytest.mark.parametrize("config", CRASH_REACH, ids=lambda config: config[0])
+def test_crash_step_bounds_highest_phase(config):
+    res = _sample(_sim(*config, pl=0.1, pc=0.2, requests=CHUNK), 0, 0, CHUNK, detail=True)
+    reach = {step: {res.phase_names[h] for h in np.unique(res.highest[res.crash == step])}
+             for step in np.unique(res.crash).tolist() if step >= 1}
+    assert reach == CRASH_REACH[config]
 
 
 class TestModelAgreement:
