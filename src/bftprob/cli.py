@@ -26,6 +26,8 @@ slices of whole requests that bound its buffers to a few MB.  A manifest's
 output paths writes byte-identical files.  Probabilities serialize with 17
 significant digits (lossless for float64).
 
+Seeds lie in [0, 2**64); any other seed exits 2 before a campaign runs.
+
 Exit codes: 0 success, 2 argument/config error, 3 validation coverage below
 the floor, 4 internal numeric error (normalization breach).
 """

@@ -103,12 +103,12 @@ class Pmf:
 
     Construction checks the smallest and largest entry against [0, 1],
     within 1e-12, so a NaN or infinite entry raises DomainError as well; it
-    checks the total against MASS_TOL (raising NormalizationError), and
-    clips to [0, 1] only when an entry lies outside.  The protocol models
-    chain raw mass arrays through their kernel matrices and validate each
-    phase they emit once, as `Pmf(mass).renormalized()`: every emitted
-    phase, and every result of a public operator, passes these checks while
-    intermediates skip them.
+    checks the total against MASS_TOL (raising NormalizationError), clips
+    to [0, 1] only when an entry lies outside, and divides by the clipped
+    total, so the residual drift is scaled out.  The protocol models chain
+    raw mass arrays through their kernel matrices and build one Pmf per
+    phase they emit: every emitted phase, and every result of a public
+    operator, passes these checks once while intermediates skip them.
     """
 
     mass: np.ndarray
@@ -128,6 +128,8 @@ class Pmf:
             )
         if lo < 0.0 or hi > 1.0:
             np.clip(arr, 0.0, 1.0, out=arr)
+            total = float(arr.sum())
+        arr /= total
         arr.flags.writeable = False
         object.__setattr__(self, "mass", arr)
 
@@ -155,23 +157,11 @@ class Pmf:
             return 1.0
         if k > self.support_max:
             return 0.0
-        # Renormalized masses can sum past 1 by an ulp.
+        # Normalized masses can sum past 1 by an ulp.
         return min(max(float(self.mass[k:].sum()), 0.0), 1.0)
 
     def mean(self) -> float:
         return float(np.arange(len(self.mass)) @ self.mass)
-
-    def renormalized(self) -> "Pmf":
-        """Scale out residual float drift (at most MASS_TOL by invariant).
-
-        The result is not validated again: every entry x is in [0, x_sum],
-        so x / x_sum lies in [0, 1], and the new sum is 1 to a few ulp.
-        """
-        mass = self.mass / float(self.mass.sum())
-        mass.flags.writeable = False
-        out = object.__new__(type(self))
-        object.__setattr__(out, "mass", mass)
-        return out
 
 
 # log(t!) for t < 2048, exactly as scipy.special.gammaln(t + 1.0) gives it,

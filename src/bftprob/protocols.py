@@ -12,12 +12,12 @@ evaluation, and the step is `prior @ K` on raw mass arrays: binomial rows
 come from `prob.binom_rows`, and crash steps use the cached
 `chain.thinning_matrix`.  Each evaluation builds one Binomial(t, 1 - p_l)
 table for t = 0..n; C_1 is a row of it, and every quorum rate on 1 - p_l is
-a window sum over its rows (`prob.table_ranges`).  Only the phases a
-PhaseTrace emits become validated Pmfs, once each.  Where a step
-conditions on two earlier phases, the joint law is a matrix.  SBFT's relay
-is factored per value of one parent, the relay count.  BFT-SMaRt's commit
-thins every column of its joint at that column's own skip rate in one pass
-(`chain.thin_columns`) and adds the members by one product.
+a window sum over its rows (`prob.table_ranges`).  Each phase a PhaseTrace
+emits is one Pmf, validated and normalized once when it is built.  Where a
+step conditions on two earlier phases, the joint law is a matrix.  SBFT's
+relay is factored per value of one parent, the relay count.  BFT-SMaRt's
+commit thins every column of its joint at that column's own skip rate in
+one pass (`chain.thin_columns`) and adds the members by one product.
 
 Quorum thresholds live in per-protocol tables derived from the config; the
 four models differ only in pattern wiring and those thresholds.
@@ -174,11 +174,9 @@ def _require_protocol(config: ProtocolConfig, expected: str) -> None:
 
 
 def _finalize(phases: list[tuple[str, np.ndarray]]) -> tuple[tuple[str, Pmf], ...]:
-    # The chain runs on raw masses; each emitted phase is validated here,
-    # once (entry range, and drift beyond MASS_TOL raises
-    # NormalizationError), before the drift is scaled out at the end of the
-    # full chain.
-    return tuple((name, Pmf(mass).renormalized()) for name, mass in phases)
+    # The chain runs on raw masses; each emitted phase becomes one Pmf
+    # here, which validates it and scales out its drift.
+    return tuple((name, Pmf(mass)) for name, mass in phases)
 
 
 def _bernoulli(p: float) -> np.ndarray:
@@ -199,13 +197,11 @@ def pbft_crash_only(config: ProtocolConfig, p_c: float, exclude_primary: bool = 
     n1 = pmf_binomial(trials, 1.0 - p_c)
     n2 = crash_step(n1, p_c)
     n3 = crash_step(n2, p_c)
-    phases = _finalize([("N1", n1.mass), ("N2", n2.mass), ("N3", n3.mass)])
-    happy = phases[-1][1].tail(2 * f + 1)
     return PhaseTrace(
         config=config,
         failures=FailureParams(0.0, p_c),
-        phases=phases,
-        path_success={"happy": happy},
+        phases=(("N1", n1), ("N2", n2), ("N3", n3)),
+        path_success={"happy": n3.tail(2 * f + 1)},
     )
 
 

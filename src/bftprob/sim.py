@@ -78,7 +78,8 @@ CONFIDENCE = 0.99
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation campaign: protocol config, failure rates, size, seed."""
+    """One simulation campaign: protocol config, failure rates, size, and a
+    seed in [0, 2**64)."""
 
     config: ProtocolConfig
     failures: FailureParams
@@ -88,6 +89,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.requests < 1:
             raise DomainError(f"requests must be >= 1, got {self.requests}")
+        if not 0 <= self.seed < 1 << 64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,7 @@ class ModelCheck:
 
 
 def _chunk_key(seed: int, chunk_index: int) -> np.ndarray:
-    packed = struct.pack("<QQ", seed & 0xFFFFFFFFFFFFFFFF, chunk_index)
+    packed = struct.pack("<QQ", seed, chunk_index)
     digest = hashlib.blake2b(packed, digest_size=16).digest()
     return np.frombuffer(digest, dtype=np.uint64)
 

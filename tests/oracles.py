@@ -111,7 +111,7 @@ def smart_skip_reference(config, fp) -> dict[str, np.ndarray]:
             skippers = skippers @ binom_rows(np.arange(len(skippers)), p_skip[m])
         c3 += np.convolve(members[m, : m + 1], skippers)
     n3 = thin(c3, pc)
-    return {"C3": Pmf(c3).renormalized().mass, "N3": Pmf(n3).renormalized().mass}
+    return {"C3": Pmf(c3).mass, "N3": Pmf(n3).mass}
 
 
 def scalar_binom_range(n: int, p: float, k_lo: int, k_hi: int) -> float:

@@ -214,6 +214,34 @@ class TestValidateCommand:
         assert "below floor" in capsys.readouterr().err
 
 
+class TestSeedDomain:
+    SIMULATE = ["simulate", "--protocol", "pbft", "-n", "4", "-f", "1", "--pl", "0.1",
+                "--pc", "0.05", "--requests", "16"]
+    VALIDATE = ["validate", "--protocol", "pbft", "-n", "4", "-f", "1", "--pl", "0.1",
+                "--pc", "0.05", "--requests", "16"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["SIMULATE", "VALIDATE"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, monkeypatch, seed, command):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("campaign ran")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        monkeypatch.setattr(cli, "validate_model", no_campaign)
+        out = tmp_path / "out.csv"
+        argv = getattr(self, command) + ["--seed", seed, "--output", str(out)]
+        if command == "SIMULATE":
+            argv += ["--record", str(tmp_path / "log.csv")]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: seed must lie in [0, 2**64)" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_seed_accepted(self, capsys):
+        assert main(self.SIMULATE + ["--seed", str(2**64 - 1)]) == EXIT_OK
+        assert "success happy=" in capsys.readouterr().out
+
+
 class TestConfigFile:
     def test_parameters_from_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -378,12 +378,12 @@ class TestPmfType:
 
     def test_entries_within_tolerance_are_clipped(self):
         # Entries up to 1e-12 outside [0, 1] are float noise: they are
-        # clipped, and renormalized() scales by the clipped total.
+        # clipped, and construction scales by the clipped total.
         raw = np.array([-1e-12, 0.5, 0.5 + 1e-12])
         pmf = Pmf(raw)
         clipped = np.array([0.0, 0.5, 0.5 + 1e-12])
-        assert pmf.mass.tobytes() == clipped.tobytes()
-        assert pmf.renormalized().mass.tobytes() == (clipped / clipped.sum()).tobytes()
+        assert pmf.mass.tobytes() == (clipped / clipped.sum()).tobytes()
+        assert raw[0] == -1e-12  # the caller's array is left as it was
         assert Pmf(np.array([1.0 + 5e-13, 0.0])).mass.tolist() == [1.0, 0.0]
 
     def test_mass_is_read_only(self):
@@ -400,13 +400,16 @@ class TestPmfType:
         assert pmf.mean() == 2.0
 
     def test_tail_clamped_to_unit_interval(self):
-        # A tail of masses that sum past 1 within MASS_TOL reads as 1.
-        pmf = Pmf(np.array([0.0, 0.6, 0.4 + 1e-10]))
+        # A tail of normalized masses that sums past 1 by an ulp reads as 1.
+        pmf = Pmf(np.array([0.0, 0.2, 0.7, 0.1]))
+        assert float(pmf.mass[1:].sum()) > 1.0
         assert pmf.tail(1) == 1.0
 
     def test_renormalized_fixes_tiny_drift(self):
+        # Construction scales out drift within MASS_TOL.
         drift = np.array([0.5, 0.5 - 2e-10])
-        pmf = Pmf(drift).renormalized()
+        pmf = Pmf(drift)
+        assert pmf.mass.tobytes() == (drift / drift.sum()).tobytes()
         assert float(pmf.mass.sum()) == pytest.approx(1.0, abs=1e-16)
 
 
