@@ -206,3 +206,16 @@ class TestConfigValidation:
     def test_requests_positive(self):
         with pytest.raises(DomainError):
             _sim(requests=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.5), ("seed", True), ("seed", "7"), ("seed", None),
+        ("requests", 1.5), ("requests", True), ("requests", 2000.0),
+    ])
+    def test_non_integer_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            _sim(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        sim = _sim(requests=np.int64(50), seed=np.uint64(7))
+        assert type(sim.requests) is int and type(sim.seed) is int
+        assert run_campaign(sim).phase_stats == run_campaign(_sim(requests=50, seed=7)).phase_stats

@@ -1,18 +1,22 @@
 """Block sampling: results do not depend on worker count or block size,
 single requests match their campaign rows, and memory stays bounded."""
 
+import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bftprob
 from bftprob import FailureParams, ProtocolConfig, SimConfig, run_campaign, simulate_request
 from bftprob import sim as sim_module
-from bftprob.sim import CHUNK, _block_requests, _cut, _received, _sample
+from bftprob.sim import CHUNK, _block_requests, _chunk_key, _cut, _join, _received, _sample
 
 CONFIGS = [
     ProtocolConfig("pbft", 7, 2),
@@ -32,6 +36,45 @@ def _arrays(res):
     out.update({f"success/{k}": v for k, v in res.success.items()})
     out.update(path=res.path, highest=res.highest, crash=res.crash)
     return out
+
+
+def _assert_same_arrays(res, ref):
+    arrays, expected = _arrays(res), _arrays(ref)
+    assert arrays.keys() == expected.keys()
+    assert res.phase_names == ref.phase_names
+    for name, values in expected.items():
+        if values is None:
+            assert arrays[name] is None, name
+        else:
+            assert values.dtype == arrays[name].dtype, name
+            assert np.array_equal(values, arrays[name]), name
+
+
+def _assert_same_stats(stats, ref):
+    assert stats.phase_stats == ref.phase_stats
+    assert stats.final_phase == ref.final_phase
+    assert np.array_equal(stats.final_counts, ref.final_counts)
+    assert dict(stats.success) == dict(ref.success)
+    assert dict(stats.success_ci) == dict(ref.success_ci)
+
+
+def _drawn_slice_by_slice(sim, chunk_index, lo, hi, detail):
+    """Requests [lo, hi) of a chunk, every array drawn whatever its rate."""
+    cfg = sim.config
+    draws, block_sampler = sim_module._SAMPLERS[cfg.protocol]
+    block = _block_requests(cfg)
+    pl, pc = _cut(sim.failures.p_l), _cut(sim.failures.p_c)
+    parts = []
+    for start in range(lo, hi, block):
+        u, offset = [], 0
+        for _, shape in draws(cfg):
+            size = math.prod(shape)
+            bits = np.random.Philox(key=_chunk_key(sim.seed, chunk_index))
+            bits.advance((offset + start * size) // 4)
+            u.append((bits.random_raw(block * size) >> 11).reshape((block, *shape)))
+            offset += CHUNK * size
+        parts.append(block_sampler(cfg, pl, pc, u, detail))
+    return _join(parts)
 
 
 @pytest.fixture
@@ -132,6 +175,86 @@ class TestInvariance:
         assert calls == [block] * (CHUNK // block + -(-100 // block))
 
 
+class TestCampaignLoop:
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.protocol)
+    def test_sink_and_worker_count_do_not_change_stats(self, cfg, workers):
+        sim = _sim(cfg, requests=2 * CHUNK + 5)
+        reference = run_campaign(sim)
+        _assert_same_stats(run_campaign(sim, record_sink=lambda start, res, valid: None), reference)
+        workers(1)
+        _assert_same_stats(run_campaign(sim), reference)
+        _assert_same_stats(run_campaign(sim, record_sink=lambda start, res, valid: None), reference)
+
+    def test_failing_sink_cancels_prefetched_blocks(self, workers, monkeypatch):
+        cfg = CONFIGS[0]
+        workers(1)
+        pool = sim_module._pool()
+        draws, block_sampler = sim_module._SAMPLERS[cfg.protocol]
+        per_chunk = CHUNK // _block_requests(cfg)
+        release = threading.Event()
+        calls = []
+
+        def gated(*args):
+            calls.append(None)
+            if len(calls) > 2 * per_chunk:  # a block of the third chunk holds the worker
+                assert release.wait(60)
+            return block_sampler(*args)
+
+        def sink(start, res, valid):
+            if start == CHUNK:
+                raise RuntimeError("sink failed on chunk 2")
+
+        monkeypatch.setitem(sim_module._SAMPLERS, cfg.protocol, (draws, gated))
+        try:
+            with pytest.raises(RuntimeError, match="chunk 2"):
+                run_campaign(_sim(cfg, requests=4 * CHUNK), record_sink=sink)
+        finally:
+            release.set()
+        pool.shutdown(wait=True)
+        # Chunk 3 was submitted before chunk 2 was awaited; at most its first
+        # block had started when the sink raised, and the rest never ran.
+        assert 2 * per_chunk <= len(calls) <= 2 * per_chunk + 1
+
+
+class TestRateSkip:
+    """At a rate of 0 or 1 an array is not drawn; zeros take its place."""
+
+    RATES = [(p_l, p_c) for p_l in (0.0, 0.1, 1.0) for p_c in (0.0, 0.05, 1.0)
+             if p_l in (0.0, 1.0) or p_c in (0.0, 1.0)]
+
+    @pytest.mark.parametrize("detail", [False, True], ids=["aggregate", "detail"])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.protocol)
+    def test_skipped_draws_match_drawn_arrays(self, cfg, detail, monkeypatch):
+        monkeypatch.setattr(sim_module, "_BLOCK_DRAWS", SMALL_BLOCK_DRAWS)
+        hi = 3 * _block_requests(cfg)
+        for p_l, p_c in self.RATES:
+            sim = _sim(cfg, pl=p_l, pc=p_c)
+            _assert_same_arrays(_sample(sim, 1, 0, hi, detail),
+                                _drawn_slice_by_slice(sim, 1, 0, hi, detail))
+
+    def test_skipped_arrays_are_not_drawn(self, monkeypatch):
+        cfg = CONFIGS[0]
+        sizes = []
+        philox = np.random.Philox
+
+        class Counting:
+            def __init__(self, **kwargs):
+                self.bits = philox(**kwargs)
+
+            def advance(self, delta):
+                self.bits.advance(delta)
+
+            def random_raw(self, size):
+                sizes.append(size)
+                return self.bits.random_raw(size)
+
+        monkeypatch.setattr(np.random, "Philox", Counting)
+        block = _block_requests(cfg)
+        n = cfg.n
+        _sample(_sim(cfg, pl=0.1, pc=0.0), 0, 0, block, detail=False)
+        assert sizes == [block * (n - 1), block * (n - 1) * n, block * n * n]
+
+
 class TestKernels:
     @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.05, 0.1, 0.5, 1 - 2**-53, 1.0])
     def test_cut_matches_float_draws(self, p):
@@ -146,17 +269,22 @@ class TestKernels:
     @pytest.mark.parametrize("senders,receivers,offset",
                              [(6, 7, 1), (7, 7, 0), (5, 2, None), (300, 300, 0)])
     def test_received_matches_masked_sum(self, senders, receivers, offset):
+        # Draws are request-major (G, S, R); the sender mask and the counts
+        # are receiver-major, (S, G) and (R, G).  Blocks of 8 requests sum
+        # the first three cases along requests, blocks of 4 along receivers.
         rng = np.random.default_rng(senders)
-        g = 8
-        u = rng.integers(0, 2**53, (g, senders, receivers), dtype=np.uint64)
-        live = rng.random((g, senders)) < 0.9
-        live[0] = True  # a full row of senders: counts reach 255 and beyond
-        cut = _cut(0.002)
-        delivered = live[:, :, None] & (u >= cut)
-        if offset is not None:
-            for s in range(senders):
-                delivered[:, s, s + offset] = False
-        assert np.array_equal(_received(u, live, cut, offset), delivered.sum(axis=1))
+        for g in (4, 8):
+            u = rng.integers(0, 2**53, (g, senders, receivers), dtype=np.uint64)
+            live = rng.random((senders, g)) < 0.9
+            live[:, 0] = True  # a full row of senders: counts reach 255 and beyond
+            cut = _cut(0.002)
+            delivered = live.T[:, :, None] & (u >= cut)
+            if offset is not None:
+                for s in range(senders):
+                    delivered[:, s, s + offset] = False
+            counts = _received(u, live, cut, offset)
+            assert counts.shape == (receivers, g)
+            assert np.array_equal(counts, delivered.sum(axis=1).T), g
 
 
 def test_large_n_chunk_memory_is_bounded():
@@ -173,3 +301,18 @@ def test_large_n_chunk_memory_is_bounded():
     assert peak < 2**30, f"peak {peak / 2**20:.0f} MB"
     pool_threads = [t for t in threading.enumerate() if t.name.startswith("bftprob-sim")]
     assert 0 < len(pool_threads) <= len(os.sched_getaffinity(0))
+
+
+def test_import_and_model_trace_start_no_pool():
+    # The worker pool is built on the first campaign: a process that only
+    # evaluates models loads no concurrent.futures and starts no thread.
+    code = (
+        "import sys, threading\n"
+        "from bftprob import FailureParams, ProtocolConfig, model_trace\n"
+        "model_trace(ProtocolConfig('pbft', 4, 1), FailureParams(0.05, 0.01))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'concurrent'),\n"
+        "      threading.active_count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bftprob.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["[]", "1"]
