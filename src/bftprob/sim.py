@@ -21,9 +21,8 @@ Layout: a block's draws arrive request-major, (G, *row shape) for G
 requests.  Each array is compared with its cut once, and every per-replica
 mask after that is receiver-major, (n, G), with requests innermost: a count
 is a sum of contiguous rows, and a message count one einsum over senders of
-the delivery mask, transposed once to (S, R, G) unless the block has fewer
-requests than receivers.  Only the detail arrays go back to (G, n), once
-per block.
+the delivery mask, transposed once to (S, R, G).  Only the detail arrays go
+back to (G, n), once per block.
 
 Memory: with D draws per request (2n^2 + 3n - 2 for PBFT, 2n^2 + 4n - 2
 for BFT-SMaRt, 6n + 2 for Zyzzyva, 7nm + 5n + 2m - 1 for SBFT with
@@ -32,9 +31,9 @@ in [4, CHUNK] with b * D <= 2**18.  A worker's draws take 8 * b * D bytes:
 at most 2 MB while D <= 2**16, and 32 * D bytes beyond (64 n^2 bytes for
 PBFT), plus two bytes per draw of the block's largest array for its mask and
 the mask's transpose.  A campaign keeps at most two chunks of blocks
-outstanding: the one it waits on and the one the pool samples ahead.  Each
-block is added on its worker to the campaign's per-value histograms and
-success counts, so no chunk is joined for aggregation.  With detail, a
+outstanding: the one it waits on and the one the pool samples ahead.  The
+calling thread adds each block to the campaign's integer sums as it
+arrives and drops it, so without detail no chunk is joined.  With detail, a
 chunk is joined for the record sink, and its (CHUNK, n) int8 `highest` and
 `crash` arrays take 32 KiB per replica: two chunks of them while the sink
 runs (the joined one and the one sampled ahead), three while a chunk is
@@ -48,7 +47,7 @@ import math
 import numbers
 import os
 import struct
-import threading
+from collections import deque
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from types import MappingProxyType
@@ -220,25 +219,16 @@ def _received(u: np.ndarray, senders: np.ndarray, cut: np.uint64,
     u (G, S, R) holds the link draws and senders (S, G) marks who sends;
     s -> r is delivered when u[:, s, r] >= cut.  With self_offset, sender s
     is receiver s + self_offset and its message to itself does not count.
-    The delivery mask is compared once and summed over senders by one
-    einsum, in the narrowest integer that cannot wrap.  When the block has
-    at least as many requests as receivers, the mask is first transposed
-    once to (S, R, G), so the sum runs along requests; with fewer (large n,
-    blocks of a few requests) it runs along receivers of the request-major
-    mask, where that transpose would cost more than the whole sum.
+    The delivery mask is compared once, transposed once to (S, R, G), and
+    summed over senders by one einsum, in the narrowest integer that cannot
+    wrap.
     """
     g, s_count, r_count = u.shape
-    delivered = u >= cut
-    if g >= r_count:
-        delivered = _rm(delivered)
-        cells, spec = delivered.reshape(-1, g), "sg,srg->rg"
-    else:
-        delivered = np.ascontiguousarray(delivered)
-        cells, spec = delivered.reshape(g, -1).T, "sg,gsr->rg"
+    delivered = _rm(u >= cut)
     if self_offset is not None:
         # Row (s, s + self_offset) of the (S * R, G) cells is s * (R + 1) + self_offset.
-        cells[self_offset :: r_count + 1] = False
-    return np.einsum(spec, senders.view(np.uint8), delivered.view(np.uint8),
+        delivered.reshape(-1, g)[self_offset :: r_count + 1] = False
+    return np.einsum("sg,srg->rg", senders.view(np.uint8), delivered.view(np.uint8),
                      dtype=_counter(s_count))
 
 
@@ -701,38 +691,13 @@ def _interval(mean: float, sd: float, count: int, z: float) -> tuple[float, floa
 RecordSink = Callable[[int, _ChunkResult, int], None]
 
 
-class _Totals:
-    """Campaign totals that workers add their blocks to: a histogram of
-    every value and a count of every success flag.  Integer sums, exact
-    below 2**53, so they do not depend on the order blocks finish in."""
-
-    def __init__(self) -> None:
-        self.hists: dict[str, np.ndarray] = {}
-        self.wins: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def add(self, res: _ChunkResult, valid: int) -> None:
-        """Add the first `valid` requests of a block's result."""
-        hists = {name: np.bincount(arr[:valid], minlength=2) for name, arr in res.values.items()}
-        wins = {name: int(np.count_nonzero(arr[:valid])) for name, arr in res.success.items()}
-        with self._lock:
-            for name, counts in hists.items():
-                total = self.hists.get(name, np.zeros(2, dtype=np.int64))
-                if len(counts) > len(total):
-                    total, counts = counts, total
-                total[: len(counts)] += counts
-                self.hists[name] = total
-            for name, count in wins.items():
-                self.wins[name] = self.wins.get(name, 0) + count
-
-
 def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> CampaignStats:
     """Aggregate `sim.requests` independent requests into campaign stats.
 
     Blocks run on the worker pool, which is kept one chunk ahead: the blocks
     of chunk k + 1 are submitted before the campaign waits on chunk k, so at
-    most two chunks of blocks are outstanding.  Each block is added to the
-    campaign totals on its worker, so no chunk is joined for them.
+    most two chunks of blocks are outstanding.  The calling thread adds each
+    block to the totals, in request order, while the pool samples.
 
     record_sink, if given, receives (start_index, chunk_result, valid_count)
     for each chunk, in chunk order, on the calling thread while the pool
@@ -745,63 +710,79 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
     requests = sim.requests
     chunks = (requests + CHUNK - 1) // CHUNK
     pool = _pool()
-    totals = _Totals()
 
-    def submit(chunk_index: int) -> list[Future[_ChunkResult]]:
-        valid = min(requests - chunk_index * CHUNK, CHUNK)
+    # Integer totals, exact below 2**53; each mean is one division.
+    sums: dict[str, int] = {}
+    sumsq: dict[str, int] = {}
+    succ_counts: dict[str, int] = {}
+    final_hist = np.zeros(2, dtype=np.int64)
+    final_name = ""
+
+    def add(res: _ChunkResult, valid: int) -> None:
+        """Add the first `valid` requests of a block's result."""
+        nonlocal final_hist, final_name
+        final_name = res.final_name
+        for name, arr in res.values.items():
+            vals = arr[:valid].astype(np.int64)
+            sums[name] = sums.get(name, 0) + int(vals.sum())
+            sumsq[name] = sumsq.get(name, 0) + int((vals * vals).sum())
+        for name, arr in res.success.items():
+            succ_counts[name] = succ_counts.get(name, 0) + int(arr[:valid].sum())
+        counts = np.bincount(res.values[final_name][:valid], minlength=2)
+        if len(counts) > len(final_hist):
+            final_hist, counts = counts, final_hist
+        final_hist[: len(counts)] += counts
+
+    def submit(chunk_index: int) -> deque[Future[_ChunkResult]]:
         block, run = _block_sampler(sim, chunk_index, detail)
+        valid = min(requests - chunk_index * CHUNK, CHUNK)
+        return deque(pool.submit(run, start) for start in range(0, valid, block))
 
-        def task(start: int) -> _ChunkResult:
-            res = run(start)
-            totals.add(res, valid - start)
-            # The result is freed on the calling thread, with its chunk.
-            # Freed here, at the end of each block, it let the allocator
-            # hand the block's draw buffers back to the kernel and fault
-            # them in again: 400 page faults per PBFT n=7 block.
-            return res
-
-        return [pool.submit(task, start) for start in range(0, valid, block)]
-
-    current: list[Future[_ChunkResult]] = []
+    current: deque[Future[_ChunkResult]] = deque()
     ahead = submit(0)
     try:
         for chunk_index in range(chunks):
-            current, ahead = ahead, submit(chunk_index + 1) if chunk_index + 1 < chunks else []
-            results = [future.result() for future in current]
-            current = []
+            current, ahead = ahead, submit(chunk_index + 1) if chunk_index + 1 < chunks else deque()
+            valid = remaining = min(requests - chunk_index * CHUNK, CHUNK)
+            parts: list[_ChunkResult] = []
+            while current:
+                # A future holds its result, so each is dropped once added.
+                res = current.popleft().result()
+                add(res, remaining)
+                remaining -= len(res.path)
+                if record_sink is not None:
+                    parts.append(res)
             if record_sink is not None:
                 # Only the joined chunk is held, and only while the sink runs.
-                res, results = _join(results), []
-                record_sink(chunk_index * CHUNK, res, min(requests - chunk_index * CHUNK, CHUNK))
-                del res
+                res, parts = _join(parts), []
+                record_sink(chunk_index * CHUNK, res, valid)
+            del res
     finally:
-        for future in current + ahead:
+        for future in (*current, *ahead):
             future.cancel()
 
     z = normal_quantile(0.5 + CONFIDENCE / 2.0)
     stats = []
-    for name, hist in totals.hists.items():
-        k = np.arange(len(hist))
-        mean = int(hist @ k) / requests
-        var = max(int(hist @ (k * k)) / requests - mean * mean, 0.0)
+    for name, total in sums.items():
+        mean = total / requests
+        var = max(sumsq[name] / requests - mean * mean, 0.0)
         sd = float(np.sqrt(var * requests / max(requests - 1, 1)))
         lo, hi = _interval(mean, sd, requests, z)
         stats.append(PhaseStat(name, mean, lo, hi))
 
     success = {}
     success_ci = {}
-    for name, count in totals.wins.items():
+    for name, count in succ_counts.items():
         p = count / requests
         sd = float(np.sqrt(p * (1.0 - p)))
         success[name] = p
         success_ci[name] = _interval(p, sd, requests, z)
 
-    final_name = next(reversed(totals.hists))
     return CampaignStats(
         sim=sim,
         phase_stats=tuple(stats),
         final_phase=final_name,
-        final_counts=totals.hists[final_name] / requests,
+        final_counts=final_hist / requests,
         success=success,
         success_ci=success_ci,
     )

@@ -296,7 +296,8 @@ class TestReplicaCeiling:
         def built(*args, **kwargs):
             raise AssertionError("work started past the replica ceiling")
 
-        for module, name in ((protocols, "binom_rows"), (chain, "binom_rows"), (sim, "_sample")):
+        for module, name in ((protocols, "binom_rows"), (chain, "binom_rows"), (sim, "_sample"),
+                             (sim, "_block_sampler")):
             monkeypatch.setattr(module, name, built)
         assert main(argv + self.PAST) == EXIT_USAGE
         out, err = capsys.readouterr()

@@ -270,8 +270,8 @@ class TestKernels:
                              [(6, 7, 1), (7, 7, 0), (5, 2, None), (300, 300, 0)])
     def test_received_matches_masked_sum(self, senders, receivers, offset):
         # Draws are request-major (G, S, R); the sender mask and the counts
-        # are receiver-major, (S, G) and (R, G).  Blocks of 8 requests sum
-        # the first three cases along requests, blocks of 4 along receivers.
+        # are receiver-major, (S, G) and (R, G).  Blocks of 4 and 8 requests
+        # put fewer and more requests than receivers in the transposed mask.
         rng = np.random.default_rng(senders)
         for g in (4, 8):
             u = rng.integers(0, 2**53, (g, senders, receivers), dtype=np.uint64)
