@@ -17,27 +17,36 @@ and skips an array whose rate is 0 or 1, which decides alike on every draw.
 Results are therefore bit-identical regardless of block size, worker count,
 evaluation order, or which subset of requests is inspected.
 
-Layout: a block's draws arrive request-major, (G, *row shape) for G
-requests.  Each array is compared with its cut once, and every per-replica
-mask after that is receiver-major, (n, G), with requests innermost: a count
-is a sum of contiguous rows, and a message count one einsum over senders of
-the delivery mask, transposed once to (S, R, G).  Only the detail arrays go
-back to (G, n), once per block.
+Layout: the draw format is decided in one place, the block driver
+(`_block_sampler`).  A block's draws arrive request-major, (G, *row shape)
+for G requests, and the driver turns each array into an event mask as soon
+as it is drawn, by one rule, u >= _cut(rate): a delivered message for a link
+array, a replica still up for a crash array.  The mask is receiver-major,
+(*row shape, G), with requests innermost, so a count is a sum of contiguous
+rows and a message count one einsum over senders.  The samplers see only
+these masks, and only the detail arrays go back to (G, n), once per block.
+Where a block holds fewer requests than a phase has receivers (PBFT and
+BFT-SMaRt from n = 45), the transpose costs more than the sum; summing such
+link masks request-major instead is a change to the driver and `_received`
+alone, since those samplers pass their message masks to `_received`
+untouched.
 
 Memory: with D draws per request (2n^2 + 3n - 2 for PBFT, 2n^2 + 4n - 2
 for BFT-SMaRt, 6n + 2 for Zyzzyva, 7nm + 5n + 2m - 1 for SBFT with
 m = c + 1 collectors), a block holds b requests, b the largest power of two
-in [4, CHUNK] with b * D <= 2**18.  A worker's draws take 8 * b * D bytes:
-at most 2 MB while D <= 2**16, and 32 * D bytes beyond (64 n^2 bytes for
-PBFT), plus two bytes per draw of the block's largest array for its mask and
-the mask's transpose.  A campaign keeps at most two chunks of blocks
-outstanding: the one it waits on and the one the pool samples ahead.  The
-calling thread adds each block to the campaign's integer sums as it
-arrives and drops it, so without detail no chunk is joined.  With detail, a
-chunk is joined for the record sink, and its (CHUNK, n) int8 `highest` and
-`crash` arrays take 32 KiB per replica: two chunks of them while the sink
-runs (the joined one and the one sampled ahead), three while a chunk is
-joined, so at most about 94 MiB at n = 1000.
+in [4, CHUNK] with b * D <= 2**18.  A worker's masks take one byte per
+draw, b * D bytes: at most 256 KiB while D <= 2**16, and 4 * D bytes beyond
+(8 n^2 bytes for PBFT).  The 8-byte draws of one array are held at a time,
+with two more bytes per draw for its mask and the mask's transpose, and are
+dropped once compared: one PBFT block peaks under tracemalloc at 1.08 MiB
+at n = 7 and 0.95 MiB at n = 150.  A campaign keeps at most two chunks of
+blocks outstanding: the one it waits on and the one the pool samples
+ahead.  The calling thread adds each block to the campaign's integer sums
+as it arrives and drops it, so without detail no chunk is joined.  With
+detail, a chunk is joined for the record sink, and its (CHUNK, n) int8
+`highest` and `crash` arrays take 32 KiB per replica: two chunks of them
+while the sink runs (the joined one and the one sampled ahead), three while
+a chunk is joined, so at most about 94 MiB at n = 1000.
 """
 
 from __future__ import annotations
@@ -93,6 +102,13 @@ PATH_NAMES = ("none", "happy", "fast", "slow")
 CONFIDENCE = 0.99
 
 
+def _integer(name: str, value: object) -> int:
+    """value as an int; a bool or a non-integer raises DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation campaign: protocol config, failure rates, size, and a
@@ -106,10 +122,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("requests", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.requests < 1:
             raise DomainError(f"requests must be >= 1, got {self.requests}")
         if not 0 <= self.seed < 1 << 64:
@@ -149,7 +162,6 @@ class CampaignStats:
     final_counts: np.ndarray  # empirical pmf of the final phase count
     success: Mapping[str, float]
     success_ci: Mapping[str, tuple[float, float]]
-    interval_type: str = "normal+continuity"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "success", MappingProxyType(dict(self.success)))
@@ -202,34 +214,26 @@ def _counter(k: int) -> type[np.unsignedinteger]:
     return np.uint8 if k < 256 else np.uint16
 
 
-def _rm(mask: np.ndarray) -> np.ndarray:
-    """A request-major (G, ...) mask copied receiver-major: (..., G)."""
-    return mask.transpose((*range(1, mask.ndim), 0)).copy()
-
-
 def _count(mask: np.ndarray) -> np.ndarray:
     """Set flags per request of a receiver-major (k, G) mask."""
     return mask.view(np.uint8).sum(axis=0, dtype=_counter(len(mask)))
 
 
-def _received(u: np.ndarray, senders: np.ndarray, cut: np.uint64,
+def _received(delivered: np.ndarray, senders: np.ndarray,
               self_offset: int | None = None) -> np.ndarray:
     """Messages each receiver gets from the live senders, as (R, G) counts.
 
-    u (G, S, R) holds the link draws and senders (S, G) marks who sends;
-    s -> r is delivered when u[:, s, r] >= cut.  With self_offset, sender s
-    is receiver s + self_offset and its message to itself does not count.
-    The delivery mask is compared once, transposed once to (S, R, G), and
-    summed over senders by one einsum, in the narrowest integer that cannot
-    wrap.
+    delivered (S, R, G) marks each delivered link s -> r and senders (S, G)
+    who sends.  With self_offset, sender s is receiver s + self_offset and
+    its message to itself does not count.  One einsum sums over senders, in
+    the narrowest integer that cannot wrap.
     """
-    g, s_count, r_count = u.shape
-    delivered = _rm(u >= cut)
+    counts = np.einsum("sg,srg->rg", senders.view(np.uint8), delivered.view(np.uint8),
+                       dtype=_counter(len(senders)))
     if self_offset is not None:
-        # Row (s, s + self_offset) of the (S * R, G) cells is s * (R + 1) + self_offset.
-        delivered.reshape(-1, g)[self_offset :: r_count + 1] = False
-    return np.einsum("sg,srg->rg", senders.view(np.uint8), delivered.view(np.uint8),
-                     dtype=_counter(s_count))
+        s = np.arange(len(senders))
+        counts[s + self_offset] -= senders & delivered[s, s + self_offset]
+    return counts
 
 
 @dataclass(frozen=True)
@@ -252,19 +256,20 @@ class _ChunkResult:
 
 
 def _result(values: dict[str, np.ndarray], success: dict[str, np.ndarray],
-            members: dict[str, np.ndarray] | None = None,
-            crashes: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> _ChunkResult:
+            members: dict[str, np.ndarray], crashes: Sequence[tuple[np.ndarray, np.ndarray]],
+            detail: bool) -> _ChunkResult:
     """One block's result.  path is the first path in PATH_NAMES order whose
-    flag is set.  members maps each detail phase, in chain order, to its
-    receiver-major (n, G) membership mask, and crashes lists (was-member,
-    crashed) masks in step order; highest is then the last phase a replica
-    reached (0 for "start"), and crash the first step that removed it (-1
-    for none).  Both are built (n, G) and returned request-major, (G, n)."""
+    flag is set.  With detail, members maps each detail phase, in chain
+    order, to its receiver-major (n, G) membership mask, and crashes lists
+    (was-member, up) masks in step order; highest is then the last phase a
+    replica reached (0 for "start"), and crash the first step that removed
+    it (-1 for none).  Both are built (n, G) and returned request-major,
+    (G, n)."""
     path = np.zeros(len(next(iter(success.values()))), dtype=np.int8)
     for code in range(len(PATH_NAMES) - 1, 0, -1):
         if PATH_NAMES[code] in success:
             path[success[PATH_NAMES[code]]] = code
-    if members is None:
+    if not detail:
         return _ChunkResult(values, success, path)
     # Phases and steps count up, so the last phase reached is the largest
     # member phase, and a first hit lifts a crash from -1 to its step.
@@ -273,8 +278,8 @@ def _result(values: dict[str, np.ndarray], success: dict[str, np.ndarray],
     for phase, member in enumerate(members.values(), 1):
         np.maximum(highest, member.view(np.int8) * np.int8(phase), out=highest)
     crash = np.full(highest.shape, -1, dtype=np.int8)
-    for step, (was_member, crashed) in enumerate(crashes, 1):
-        hit = was_member & crashed & (crash < 0)
+    for step, (was_member, up) in enumerate(crashes, 1):
+        hit = was_member & ~up & (crash < 0)
         crash += hit.view(np.int8) * np.int8(step + 1)
     return _ChunkResult(values, success, path, highest.T.copy(), crash.T.copy(),
                         ("start", *members))
@@ -299,16 +304,19 @@ def _join(parts: list[_ChunkResult]) -> _ChunkResult:
 
 # Each protocol has a draw layout, listing every uniform array in the order
 # the chunk stream lays them out, each as its kind (LINK or CRASH) and
-# per-request shape, and a block sampler that maps one block's arrays (each
-# of shape (G, *row shape)) to outcomes.  Block samplers see 53-bit integer
-# draws and the cuts pl = _cut(p_l) and pc = _cut(p_c): `u >= pl` is a
-# delivered message, `u < pc` a crash.  Each array is compared once, and
-# every mask after that is receiver-major, (replica, G), so counts sum over
-# contiguous rows.  A sampler computes only its protocol's events and
-# returns _result(values, success), plus, with detail, its membership masks
-# and crash draws; _result derives the path and per-replica arrays.
+# per-request shape, and a block sampler that states the protocol's message
+# pattern on one block's events.  The driver (_block_sampler) hands it one
+# receiver-major bool mask per array, (*row shape, G): True is a delivered
+# message for a LINK array and a replica still up for a CRASH array.  Every
+# mask after that stays receiver-major, (replica, G), so counts sum over
+# contiguous rows.  A sampler returns (values, success, members, crashes):
+# its phase counts and path flags, and its membership masks and (was-member,
+# up) crash steps, from which _result derives the path and, with detail,
+# the per-replica arrays.
 LINK, CRASH = "link", "crash"
 _Layout = tuple[tuple[str, tuple[int, ...]], ...]
+_Events = tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, np.ndarray],
+                list[tuple[np.ndarray, np.ndarray]]]
 
 
 def _pbft_draws(cfg: ProtocolConfig) -> _Layout:
@@ -317,27 +325,21 @@ def _pbft_draws(cfg: ProtocolConfig) -> _Layout:
             (LINK, (n, n)), (CRASH, (n,)))
 
 
-def _pbft_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
-                u: list[np.ndarray], detail: bool) -> _ChunkResult:
+def _pbft_block(cfg: ProtocolConfig, events: list[np.ndarray]) -> _Events:
     th = cfg.thresholds()
-    u_pp, u_cr1, u_prep, u_cr2, u_com, u_cr3 = u
-    g = len(u_pp)
+    got_pp, up1, prep, up2, com, up3 = events  # got_pp, up1: replicas 1..n-1
+    one = np.ones((1, got_pp.shape[-1]), dtype=bool)
 
-    got_pp = _rm(u_pp >= pl)  # replicas 1..n-1
-    cr1 = _rm(u_cr1 < pc)
-    n1 = got_pp & ~cr1
-
-    cnt = _received(u_prep, n1, pl, self_offset=1)
+    n1 = got_pp & up1
+    cnt = _received(prep, n1, self_offset=1)
     c2_repl = n1 & (cnt[1:] >= max(th["prepare_from_others"], 0))
     cp = cnt[0] >= th["primary_prepare"]
     c2 = np.concatenate([cp[None], c2_repl])
-    cr2 = _rm(u_cr2 < pc)
-    n2 = c2 & ~cr2
+    n2 = c2 & up2
 
-    cnt3 = _received(u_com, n2, pl, self_offset=0)
+    cnt3 = _received(com, n2, self_offset=0)
     c3 = n2 & (cnt3 >= th["commit_from_others"])
-    cr3 = _rm(u_cr3 < pc)
-    n3 = c3 & ~cr3
+    n3 = c3 & up3
 
     n3_cnt = _count(n3)
     values = {
@@ -350,16 +352,13 @@ def _pbft_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
         "N3": n3_cnt,
     }
     success = {"happy": n3_cnt >= th["happy"], "liveness": n3_cnt >= th["liveness"]}
-    if not detail:
-        return _result(values, success)
-    pad = np.zeros((1, g), dtype=bool)
-    c1 = np.concatenate([pad, got_pp])
+    c1 = np.concatenate([~one, got_pp])
     # The primary holds the request and is assumed up through its
     # broadcast, so it enters the chain at the N1 stage.
-    members = {"C1": c1, "N1": np.concatenate([~pad, n1]),
+    members = {"C1": c1, "N1": np.concatenate([one, n1]),
                "C2": c2, "N2": n2, "C3": c3, "N3": n3}
-    crashes = [(c1, np.concatenate([pad, cr1])), (c2, cr2), (c3, cr3)]
-    return _result(values, success, members, crashes)
+    crashes = [(c1, np.concatenate([one, up1])), (c2, up2), (c3, up3)]
+    return values, success, members, crashes
 
 
 def _smart_draws(cfg: ProtocolConfig) -> _Layout:
@@ -368,31 +367,24 @@ def _smart_draws(cfg: ProtocolConfig) -> _Layout:
             (LINK, (n, n)), (CRASH, (n,)))
 
 
-def _smart_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
-                 u: list[np.ndarray], detail: bool) -> _ChunkResult:
+def _smart_block(cfg: ProtocolConfig, events: list[np.ndarray]) -> _Events:
     th = cfg.thresholds()
-    u_pp, u_cr1, u_write, u_cr2, u_com, u_cr3 = u
-    g = len(u_pp)
+    got_pp, up1, write, up2, com, up3 = events
+    one = np.ones((1, got_pp.shape[-1]), dtype=bool)
 
-    got_pp = _rm(u_pp >= pl)
-    cr1 = _rm(u_cr1 < pc)
-    n1 = got_pp & ~cr1
-    one = np.ones((1, g), dtype=bool)
+    n1 = got_pp & up1
     pool = np.concatenate([one, n1])  # primary plus broadcast holders
-
-    cnt = _received(u_write, pool, pl, self_offset=0)
+    cnt = _received(write, pool, self_offset=0)
     c2 = pool & (cnt >= th["write_from_others"])
-    cr2 = _rm(u_cr2 < pc)
-    n2 = c2 & ~cr2
+    n2 = c2 & up2
 
-    cnt3 = _received(u_com, n2, pl, self_offset=0)
+    cnt3 = _received(com, n2, self_offset=0)
     # Members of the write quorum need 2f more commits; everyone else in
     # the pool may still finish on a full 2f+1 commit quorum.
     c3 = (n2 & (cnt3 >= th["commit_from_others"])) | (
         pool & ~n2 & (cnt3 >= th["commit_skip"])
     )
-    cr3 = _rm(u_cr3 < pc)
-    n3 = c3 & ~cr3
+    n3 = c3 & up3
 
     n3_cnt = _count(n3)
     values = {
@@ -404,13 +396,10 @@ def _smart_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
         "N3": n3_cnt,
     }
     success = {"happy": n3_cnt >= th["happy"], "liveness": n3_cnt >= th["liveness"]}
-    if not detail:
-        return _result(values, success)
-    pad = np.zeros((1, g), dtype=bool)
-    c1 = np.concatenate([pad, got_pp])
+    c1 = np.concatenate([~one, got_pp])
     members = {"C1": c1, "N1": pool, "C2": c2, "N2": n2, "C3": c3, "N3": n3}
-    crashes = [(c1, np.concatenate([pad, cr1])), (c2, cr2), (c3, cr3)]
-    return _result(values, success, members, crashes)
+    crashes = [(c1, np.concatenate([one, up1])), (c2, up2), (c3, up3)]
+    return values, success, members, crashes
 
 
 def _zyzzyva_draws(cfg: ProtocolConfig) -> _Layout:
@@ -421,29 +410,25 @@ def _zyzzyva_draws(cfg: ProtocolConfig) -> _Layout:
             (CRASH, (n,)), (LINK, (n,)))
 
 
-def _zyzzyva_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
-                   u: list[np.ndarray], detail: bool) -> _ChunkResult:
+def _zyzzyva_block(cfg: ProtocolConfig, events: list[np.ndarray]) -> _Events:
     th = cfg.thresholds()
-    u_pp, u_cr1, u_resp, u_client, u_cert, u_cr3, u_ack = u
-    g = len(u_pp)
+    got_order, up1, response, client_up, cert_link, up3, ack = events
+    one = np.ones((1, got_order.shape[-1]), dtype=bool)
 
-    one = np.ones((1, g), dtype=bool)
-    pool = np.concatenate([one, _rm(u_pp >= pl)])  # order holders incl. primary
-    cr1 = _rm(u_cr1 < pc)
-    n1 = pool & ~cr1
+    pool = np.concatenate([one, got_order])  # order holders incl. primary
+    n1 = pool & up1
 
-    responses = n1 & _rm(u_resp >= pl)
+    responses = n1 & response
     k = _count(responses)
-    alive2, alive3, alive4 = _rm(u_client >= pc)
+    alive2, alive3, alive4 = client_up
 
     fast = alive2 & (k >= th["fast_quorum"])
     branch = alive2 & (k >= th["slow_quorum_lo"]) & (k <= th["slow_quorum_hi"])
     cert = branch & alive3
 
-    got_cert = cert & _rm(u_cert >= pl)  # commit certificate reaches anyone
-    cr3 = _rm(u_cr3 < pc)
-    n3 = got_cert & ~cr3
-    acks = n3 & _rm(u_ack >= pl)
+    got_cert = cert & cert_link  # commit certificate reaches anyone
+    n3 = got_cert & up3
+    acks = n3 & ack
     slow = cert & alive4 & (_count(acks) >= th["ack_quorum"])
 
     values = {
@@ -456,10 +441,8 @@ def _zyzzyva_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
         "C4": slow.view(np.uint8),
     }
     success = {"fast": fast, "slow": slow, "combined": fast | slow}
-    if not detail:
-        return _result(values, success)
     members = {"C1": pool, "N1": n1, "C3": got_cert, "N3": n3}
-    return _result(values, success, members, [(pool, cr1), (got_cert, cr3)])
+    return values, success, members, [(pool, up1), (got_cert, up3)]
 
 
 def _sbft_draws(cfg: ProtocolConfig) -> _Layout:
@@ -469,61 +452,58 @@ def _sbft_draws(cfg: ProtocolConfig) -> _Layout:
             (CRASH, (m,)), (LINK, (n, m)), (CRASH, (n,)), (LINK, (n, m)))
 
 
-def _sbft_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
-                u: list[np.ndarray], detail: bool) -> _ChunkResult:
+def _sbft_block(cfg: ProtocolConfig, events: list[np.ndarray]) -> _Events:
     n = cfg.n
     th = cfg.thresholds()
     slots = np.arange(n)[:, None]
-    (u_pp, u_cr1, u_share, u_cr2, u_b3f, u_cr3f, u_a4f, u_b3s, u_cr3s, u_a4s, u_cr4s,
-     u_b5, u_cr5, u_a6) = u
-    g = len(u_pp)
+    (got_order, up1, share, coll_up, b3f, up3f, a4f, b3s, up3s, a4s, up4s,
+     b5, up5, a6) = events
+    one = np.ones((1, got_order.shape[-1]), dtype=bool)
 
-    one = np.ones((1, g), dtype=bool)
-    pool = np.concatenate([one, _rm(u_pp >= pl)])
-    cr1 = _rm(u_cr1 < pc)
-    n1 = pool & ~cr1
+    pool = np.concatenate([one, got_order])
+    n1 = pool & up1
     n1_cnt = _count(n1)
 
     # Phase 2: every order holder sends its signature share to each collector.
-    cnt2 = _received(u_share, n1, pl)  # (m, g)
+    cnt2 = _received(share, n1)  # (m, g)
     c2f = cnt2 >= th["fast_quorum"]
     c2s = (cnt2 >= th["slow_quorum_lo"]) & (cnt2 <= th["slow_quorum_hi"])
-    coll_up = _rm(u_cr2 >= pc)
     n2f = c2f & coll_up
     n2s = c2s & coll_up
 
     def rebroadcast(holders: np.ndarray, links: np.ndarray, receiver_count: np.ndarray) -> np.ndarray:
-        # holders (m, g) certificate-carrying collectors; receivers are
-        # canonical slots (later phases depend only on counts).
-        reached = _received(links.transpose(0, 2, 1), holders, pl) > 0  # (n, g)
+        # holders (m, g) certificate-carrying collectors send along links
+        # (n, m, g); receivers are canonical slots (later phases depend
+        # only on counts).
+        reached = _received(links.transpose(1, 0, 2), holders) > 0  # (n, g)
         picked = reached & (slots < receiver_count)
         return _count(holders) + _count(picked)
 
-    def thin(count: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _count(_rm(u >= pc) & (slots < count))
+    def thin(count: np.ndarray, up: np.ndarray) -> np.ndarray:
+        return _count(up & (slots < count))
 
     def collector_counts(sender_count: np.ndarray, links: np.ndarray) -> np.ndarray:
-        return _received(links, slots < sender_count, pl)  # (m, g)
+        return _received(links, slots < sender_count)  # (m, g)
 
     # Fast path: rebroadcast to everyone, then f+1 execution acks.
     n2f_cnt = _count(n2f)
-    c3f_cnt = rebroadcast(n2f, u_b3f, n - n2f_cnt)
-    n3f_cnt = thin(c3f_cnt, u_cr3f)
-    c4f = collector_counts(n3f_cnt, u_a4f) >= th["fast_exec"]
+    c3f_cnt = rebroadcast(n2f, b3f, n - n2f_cnt)
+    n3f_cnt = thin(c3f_cnt, up3f)
+    c4f = collector_counts(n3f_cnt, a4f) >= th["fast_exec"]
     fast = c4f.any(axis=0)
 
     # Slow path: rebroadcast, 2f+c+1 commit shares, relay to the remaining
     # order holders, then f more execution acks beyond a collector's own.
     # Unsigned counts are widened before a difference can go negative.
     n2s_cnt = _count(n2s)
-    c3s_cnt = rebroadcast(n2s, u_b3s, n - n2s_cnt)
-    n3s_cnt = thin(c3s_cnt, u_cr3s)
-    c4s = collector_counts(n3s_cnt, u_a4s) >= th["slow_commit"]
-    n4s = c4s & _rm(u_cr4s >= pc)
+    c3s_cnt = rebroadcast(n2s, b3s, n - n2s_cnt)
+    n3s_cnt = thin(c3s_cnt, up3s)
+    c4s = collector_counts(n3s_cnt, a4s) >= th["slow_commit"]
+    n4s = c4s & up4s
     n4s_cnt = _count(n4s)
-    c5_cnt = rebroadcast(n4s, u_b5, np.maximum(n1_cnt.astype(np.int32) - n4s_cnt, 0))
-    n5_cnt = thin(c5_cnt, u_cr5)
-    cnt6 = collector_counts(np.maximum(n5_cnt.astype(np.int32) - 1, 0), u_a6)
+    c5_cnt = rebroadcast(n4s, b5, np.maximum(n1_cnt.astype(np.int32) - n4s_cnt, 0))
+    n5_cnt = thin(c5_cnt, up5)
+    cnt6 = collector_counts(np.maximum(n5_cnt.astype(np.int32) - 1, 0), a6)
     c6 = (cnt6 >= th["slow_exec_from_others"]) & (n5_cnt >= 1)
     slow = c6.any(axis=0)
 
@@ -546,16 +526,14 @@ def _sbft_block(cfg: ProtocolConfig, pl: np.uint64, pc: np.uint64,
         "C6": _count(c6),
     }
     success = {"fast": fast, "slow": slow, "combined": fast | slow}
-    if not detail:
-        return _result(values, success)
     # Replica-resolved states exist only for the first chain steps; the
     # collector/rebroadcast phases are tracked on canonical count slots.
     members = {"C1": pool, "N1": n1, "C3_slot": slots < c3s_cnt, "N5_slot": slots < n5_cnt}
-    return _result(values, success, members, [(pool, cr1)])
+    return values, success, members, [(pool, up1)]
 
 
 _Draws = Callable[[ProtocolConfig], _Layout]
-_Block = Callable[[ProtocolConfig, np.uint64, np.uint64, list[np.ndarray], bool], _ChunkResult]
+_Block = Callable[[ProtocolConfig, list[np.ndarray]], _Events]
 
 _SAMPLERS: dict[str, tuple[_Draws, _Block]] = {
     PBFT: (_pbft_draws, _pbft_block),
@@ -564,7 +542,7 @@ _SAMPLERS: dict[str, tuple[_Draws, _Block]] = {
     SBFT: (_sbft_draws, _sbft_block),
 }
 
-# Draws one block may hold, over all of its arrays.
+# Draws one block covers, over all of its arrays.
 _BLOCK_DRAWS = 1 << 18
 
 
@@ -602,8 +580,10 @@ def _block_sampler(sim: SimConfig, chunk_index: int,
     starting at a given request.
 
     Each block draws its slice of every array from that slice's exact
-    offset in the chunk stream.  An array whose rate is 0 or 1 is not
-    drawn: zeros in its place decide every comparison as the draws would.
+    offset in the chunk stream and turns it into a receiver-major event
+    mask, (*row shape, G), as soon as it is drawn: u >= _cut(rate).  An
+    array whose rate is 0 or 1 is not drawn, since every draw would decide
+    alike: its mask is constant, True where the rate is 0.
     """
     cfg = sim.config
     draws, block_sampler = _SAMPLERS[cfg.protocol]
@@ -612,26 +592,26 @@ def _block_sampler(sim: SimConfig, chunk_index: int,
     offsets = [CHUNK * sum(sizes[:i]) for i in range(len(sizes))]
     block = _block_requests(cfg)
     key = _chunk_key(sim.seed, chunk_index)
-    pl, pc = _cut(sim.failures.p_l), _cut(sim.failures.p_c)
     rates = {LINK: sim.failures.p_l, CRASH: sim.failures.p_c}
-    zero = np.uint64(0)
 
     def run(start: int) -> _ChunkResult:
         # Philox emits 4 outputs per counter step, so counter c resumes the
         # stream at output 4c; every offset here is a multiple of 4.
         bits = np.random.Philox(key=key, counter=0)
         at = 0
-        u = []
+        events = []
         for (kind, shape), offset, size in zip(layout, offsets, sizes):
-            if rates[kind] in (0.0, 1.0):
-                u.append(np.broadcast_to(zero, (block,) + shape))
+            rate = rates[kind]
+            if rate in (0.0, 1.0):
+                events.append(np.full((*shape, block), rate == 0.0))
                 continue
             bits.advance((offset + start * size - at) // 4)
-            raw = bits.random_raw(block * size)
-            raw >>= 11
-            u.append(raw.reshape((block,) + shape))
             at = offset + (start + block) * size
-        return block_sampler(cfg, pl, pc, u, detail)
+            u = bits.random_raw(block * size).reshape(block, size)
+            u >>= 11
+            events.append((u >= _cut(rate)).T.copy().reshape(*shape, block))
+            del u  # one array's 8-byte draws at a time
+        return _result(*block_sampler(cfg, events), detail)
 
     return block, run
 
@@ -655,13 +635,15 @@ def _run_chunk(sim: SimConfig, chunk_index: int, detail: bool) -> _ChunkResult:
 
 @lru_cache(maxsize=2)
 def _request_block(sim: SimConfig, chunk_index: int, start: int) -> _ChunkResult:
-    return _sample(sim, chunk_index, start, start + 1, detail=True)
+    return _block_sampler(sim, chunk_index, True)[1](start)
 
 
 def simulate_request(sim: SimConfig, request_index: int) -> SimRecord:
-    """Deterministic outcome of one request under (seed, request_index)."""
+    """Deterministic outcome of one request under (seed, request_index).
+    request_index takes any integer but a bool, and is stored as int."""
+    request_index = _integer("request_index", request_index)
     if not 0 <= request_index < sim.requests:
-        raise DomainError(f"request index {request_index} outside 0..{sim.requests - 1}")
+        raise DomainError(f"request_index {request_index} outside 0..{sim.requests - 1}")
     chunk_index, offset = divmod(request_index, CHUNK)
     start = offset - offset % _block_requests(sim.config)
     res = _request_block(sim, chunk_index, start)

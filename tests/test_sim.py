@@ -219,3 +219,13 @@ class TestConfigValidation:
         sim = _sim(requests=np.int64(50), seed=np.uint64(7))
         assert type(sim.requests) is int and type(sim.seed) is int
         assert run_campaign(sim).phase_stats == run_campaign(_sim(requests=50, seed=7)).phase_stats
+
+    @pytest.mark.parametrize("index", [1.5, "3", True, None, 3.0])
+    def test_non_integer_request_index_rejected(self, index):
+        with pytest.raises(DomainError, match="request_index must be an integer"):
+            simulate_request(_sim(requests=10), index)
+
+    def test_numpy_request_index_accepted(self):
+        rec = simulate_request(_sim(requests=10), np.int64(3))
+        assert type(rec.request_id) is int and rec.request_id == 3
+        assert rec.path == simulate_request(_sim(requests=10), 3).path

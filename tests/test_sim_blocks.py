@@ -59,21 +59,23 @@ def _assert_same_stats(stats, ref):
 
 
 def _drawn_slice_by_slice(sim, chunk_index, lo, hi, detail):
-    """Requests [lo, hi) of a chunk, every array drawn whatever its rate."""
+    """Requests [lo, hi) of a chunk, every array drawn whatever its rate and
+    turned into its receiver-major event mask by u >= _cut(rate)."""
     cfg = sim.config
     draws, block_sampler = sim_module._SAMPLERS[cfg.protocol]
     block = _block_requests(cfg)
-    pl, pc = _cut(sim.failures.p_l), _cut(sim.failures.p_c)
+    rates = {sim_module.LINK: sim.failures.p_l, sim_module.CRASH: sim.failures.p_c}
     parts = []
     for start in range(lo, hi, block):
-        u, offset = [], 0
-        for _, shape in draws(cfg):
+        events, offset = [], 0
+        for kind, shape in draws(cfg):
             size = math.prod(shape)
             bits = np.random.Philox(key=_chunk_key(sim.seed, chunk_index))
             bits.advance((offset + start * size) // 4)
-            u.append((bits.random_raw(block * size) >> 11).reshape((block, *shape)))
+            u = (bits.random_raw(block * size) >> 11).reshape((block, *shape))
+            events.append(np.moveaxis(u >= _cut(rates[kind]), 0, -1))
             offset += CHUNK * size
-        parts.append(block_sampler(cfg, pl, pc, u, detail))
+        parts.append(sim_module._result(*block_sampler(cfg, events), detail))
     return _join(parts)
 
 
@@ -165,9 +167,9 @@ class TestInvariance:
         draws, block_sampler = sim_module._SAMPLERS[cfg.protocol]
         calls = []
 
-        def counting(*args):
-            calls.append(len(args[3][0]))
-            return block_sampler(*args)
+        def counting(cfg, events):
+            calls.append(events[0].shape[-1])
+            return block_sampler(cfg, events)
 
         monkeypatch.setitem(sim_module._SAMPLERS, cfg.protocol, (draws, counting))
         block = _block_requests(cfg)
@@ -194,11 +196,11 @@ class TestCampaignLoop:
         release = threading.Event()
         calls = []
 
-        def gated(*args):
-            calls.append(None)
+        def gated(cfg, events):
+            calls.append(events[0].shape[-1])
             if len(calls) > 2 * per_chunk:  # a block of the third chunk holds the worker
                 assert release.wait(60)
-            return block_sampler(*args)
+            return block_sampler(cfg, events)
 
         def sink(start, res, valid):
             if start == CHUNK:
@@ -217,7 +219,8 @@ class TestCampaignLoop:
 
 
 class TestRateSkip:
-    """At a rate of 0 or 1 an array is not drawn; zeros take its place."""
+    """At a rate of 0 or 1 an array is not drawn: its event mask is constant,
+    and must equal the mask that its draws would give."""
 
     RATES = [(p_l, p_c) for p_l in (0.0, 0.1, 1.0) for p_c in (0.0, 0.05, 1.0)
              if p_l in (0.0, 1.0) or p_c in (0.0, 1.0)]
@@ -269,22 +272,21 @@ class TestKernels:
     @pytest.mark.parametrize("senders,receivers,offset",
                              [(6, 7, 1), (7, 7, 0), (5, 2, None), (300, 300, 0)])
     def test_received_matches_masked_sum(self, senders, receivers, offset):
-        # Draws are request-major (G, S, R); the sender mask and the counts
-        # are receiver-major, (S, G) and (R, G).  Blocks of 4 and 8 requests
-        # put fewer and more requests than receivers in the transposed mask.
+        # Every mask is receiver-major: delivered (S, R, G), senders (S, G)
+        # and the counts (R, G).  Blocks of 4 and 8 requests put fewer and
+        # more requests than receivers in a mask.
         rng = np.random.default_rng(senders)
         for g in (4, 8):
-            u = rng.integers(0, 2**53, (g, senders, receivers), dtype=np.uint64)
+            delivered = rng.random((senders, receivers, g)) < 0.998
             live = rng.random((senders, g)) < 0.9
             live[:, 0] = True  # a full row of senders: counts reach 255 and beyond
-            cut = _cut(0.002)
-            delivered = live.T[:, :, None] & (u >= cut)
+            expected = live[:, None, :] & delivered
             if offset is not None:
                 for s in range(senders):
-                    delivered[:, s, s + offset] = False
-            counts = _received(u, live, cut, offset)
+                    expected[s, s + offset] = False
+            counts = _received(delivered, live, offset)
             assert counts.shape == (receivers, g)
-            assert np.array_equal(counts, delivered.sum(axis=1).T), g
+            assert np.array_equal(counts, expected.sum(axis=0)), g
 
 
 def test_large_n_chunk_memory_is_bounded():
@@ -303,6 +305,41 @@ def test_large_n_chunk_memory_is_bounded():
     assert 0 < len(pool_threads) <= len(os.sched_getaffinity(0))
 
 
+@pytest.mark.parametrize("p_l,p_c", [(0.1, 0.05), (0.3, 0.5)])
+def test_draw_at_the_cut_is_an_event(monkeypatch, p_l, p_c):
+    # A draw equal to the cut delivers its message or keeps its replica up;
+    # one below it does not.  Random draws hit the cut with probability
+    # 2**-53, so the driver is fed draws that sit on it, or just under it.
+    cfg = CONFIGS[0]
+    sim = _sim(cfg, pl=p_l, pc=p_c)
+    draws, block_sampler = sim_module._SAMPLERS[cfg.protocol]
+    seen = []
+
+    def keep(cfg, events):
+        seen.append(events)
+        return block_sampler(cfg, events)
+
+    monkeypatch.setitem(sim_module._SAMPLERS, cfg.protocol, (draws, keep))
+    for below in (0, 1):
+        cuts = iter(int(_cut(rate)) - below for rate in (p_l, p_c) * 3)
+
+        class AtCut:
+            def __init__(self, **kwargs):
+                pass
+
+            def advance(self, delta):
+                pass
+
+            def random_raw(self, size):
+                return np.full(size, next(cuts) << 11, dtype=np.uint64)
+
+        monkeypatch.setattr(np.random, "Philox", AtCut)
+        sim_module._block_sampler(sim, 0, True)[1](0)
+        events = seen.pop()
+        assert [mask.shape[:-1] for mask in events] == [shape for _, shape in draws(cfg)]
+        assert all(mask.all() if below == 0 else not mask.any() for mask in events)
+
+
 def test_import_and_model_trace_start_no_pool():
     # The worker pool is built on the first campaign: a process that only
     # evaluates models loads no concurrent.futures and starts no thread.
@@ -316,3 +353,19 @@ def test_import_and_model_trace_start_no_pool():
     env = dict(os.environ, PYTHONPATH=str(Path(bftprob.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["[]", "1"]
+
+
+def test_simulate_request_starts_no_pool():
+    # One request is sampled on the calling thread: no pool, no thread.
+    code = (
+        "import sys, threading\n"
+        "from bftprob import FailureParams, ProtocolConfig, SimConfig, simulate_request\n"
+        "sim = SimConfig(ProtocolConfig('pbft', 7, 2), FailureParams(0.1, 0.05), 100, 3)\n"
+        "rec = simulate_request(sim, 42)\n"
+        "print(rec.request_id,\n"
+        "      sorted(name for name in sys.modules if name.split('.')[0] == 'concurrent'),\n"
+        "      threading.active_count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bftprob.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["42", "[]", "1"]
