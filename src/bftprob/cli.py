@@ -20,11 +20,11 @@ Every run that writes an output file also writes `<output>.manifest.json`
 recording the subcommand, the resolved parameters (all but the output
 paths), the tool version, and a sha256 of the payload, hashed in 1 MiB
 blocks so that no file is read whole.  `simulate --record` writes its
-per-request, per-replica log as bytes assembled from uint8 tables, in
-slices of whole requests that bound its buffers to a few MB.  A manifest's
-`parameters` is a valid `--config` for its subcommand: rerunning with it and
-output paths writes byte-identical files.  Probabilities serialize with 17
-significant digits (lossless for float64).
+per-request, per-replica log as bytes assembled from uint8 tables, one
+simulator block at a time, which bounds its buffers to a few MB.  A
+manifest's `parameters` is a valid `--config` for its subcommand: rerunning
+with it and output paths writes byte-identical files.  Probabilities
+serialize with 17 significant digits (lossless for float64).
 
 Seeds lie in [0, 2**64); any other seed exits 2 before a campaign runs.
 
@@ -40,6 +40,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -180,11 +181,6 @@ def _cmd_model(p: dict) -> int:
     return EXIT_OK
 
 
-# Rows per formatting slice of `_record_writer`: bounds its transient
-# buffers to a few MB whatever the replica count.
-_SLICE_ROWS = 1 << 17
-
-
 def _byte_table(strings: list[str]) -> np.ndarray:
     """One uint8 row of ASCII bytes per string, NUL-padded to the longest."""
     encoded = [s.encode() for s in strings]
@@ -203,37 +199,47 @@ def _digit_columns(lo: int, hi: int) -> np.ndarray:
     return digits
 
 
+@lru_cache(maxsize=4)
+def _row_tables(phase_names: tuple[str, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Byte tables of `_record_writer`: each replica's ",{r}", and each row
+    suffix ",{phase},{crash step},{path}" with its newline, by code
+    ((step + 1) * len(phase_names) + phase) * len(PATH_NAMES) + path.
+
+    A replica crashes at most once per member phase, so steps -1 (none) to
+    len(phase_names) - 1 cover every step a protocol can record; the table
+    is step-major, so a step past them raises rather than writing another
+    phase's row.
+    """
+    return (_byte_table([f",{r}" for r in range(n)]),
+            _byte_table([f",{phase},{step if step >= 0 else ''},{name}\n"
+                         for step in range(-1, len(phase_names)) for phase in phase_names
+                         for name in PATH_NAMES]))
+
+
 def _record_writer(log):
-    """Record sink that appends each chunk's per-replica rows to `log`.
+    """Record sink that appends each block's per-replica rows to `log`.
 
     `log` is a binary file.  Every byte of a row after "request,replica"
-    depends only on (phase, crash step, path), so each chunk encodes those
-    suffixes once as a NUL-padded uint8 table and looks them up by code.
-    Rows are assembled in slices of whole requests, at most `_SLICE_ROWS`
-    rows each: request-id digits, the replica's ",{r}" and the gathered
-    suffix fill a (requests, n, width) byte buffer, whose non-NUL bytes are
-    the rows in order.
+    depends only on (phase, crash step, path), so each row looks up its
+    suffix by code in a NUL-padded uint8 table (`_row_tables`).  A block's
+    request-id digits, the replica's ",{r}" and the gathered suffix fill one
+    (requests, n, width) byte buffer, whose non-NUL bytes are the rows in
+    order.  `sim` bounds a block to 2**16 rows, so the buffers stay a few MB
+    whatever the replica count.
     """
 
     def sink(start: int, res, valid: int) -> None:
         n = res.highest.shape[1]
-        steps = int(res.crash[:valid].max(initial=-1)) + 2  # crash steps -1 (none) .. max
-        suffixes = _byte_table([f",{phase},{step if step >= 0 else ''},{name}\n"
-                                for phase in res.phase_names for step in range(-1, steps - 1)
-                                for name in PATH_NAMES])
-        replicas = _byte_table([f",{r}" for r in range(n)])
-        per_slice = max(1, _SLICE_ROWS // n)
-        for lo in range(0, valid, per_slice):
-            hi = min(lo + per_slice, valid)
-            codes = ((res.highest[lo:hi].astype(np.intp) * steps + res.crash[lo:hi] + 1)
-                     * len(PATH_NAMES) + res.path[lo:hi, None])
-            ids = _digit_columns(start + lo, start + hi)
-            d, r = ids.shape[1], replicas.shape[1]
-            buf = np.empty((hi - lo, n, d + r + suffixes.shape[1]), dtype=np.uint8)
-            buf[:, :, :d] = ids[:, None]
-            buf[:, :, d : d + r] = replicas
-            buf[:, :, d + r :] = np.take(suffixes, codes, axis=0)
-            log.write(buf[buf != 0])
+        replicas, suffixes = _row_tables(res.phase_names, n)
+        codes = (((res.crash[:valid].astype(np.intp) + 1) * len(res.phase_names)
+                  + res.highest[:valid]) * len(PATH_NAMES) + res.path[:valid, None])
+        ids = _digit_columns(start, start + valid)
+        d, r = ids.shape[1], replicas.shape[1]
+        buf = np.empty((valid, n, d + r + suffixes.shape[1]), dtype=np.uint8)
+        buf[:, :, :d] = ids[:, None]
+        buf[:, :, d : d + r] = replicas
+        buf[:, :, d + r :] = np.take(suffixes, codes, axis=0)
+        log.write(buf[buf != 0])
 
     return sink
 

@@ -42,11 +42,11 @@ dropped once compared: one PBFT block peaks under tracemalloc at 1.08 MiB
 at n = 7 and 0.95 MiB at n = 150.  A campaign keeps at most two chunks of
 blocks outstanding: the one it waits on and the one the pool samples
 ahead.  The calling thread adds each block to the campaign's integer sums
-as it arrives and drops it, so without detail no chunk is joined.  With
-detail, a chunk is joined for the record sink, and its (CHUNK, n) int8
-`highest` and `crash` arrays take 32 KiB per replica: two chunks of them
-while the sink runs (the joined one and the one sampled ahead), three while
-a chunk is joined, so at most about 94 MiB at n = 1000.
+as it arrives, hands it to the record sink if there is one, and drops it:
+no chunk is ever joined.  With detail, a block's (b, n) int8 `highest` and
+`crash` arrays take two bytes per replica and request, so the two chunks of
+them that can be outstanding take 64 KiB per replica, about 63 MiB at
+n = 1000.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numbers
 import os
 import struct
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -237,11 +237,11 @@ def _received(delivered: np.ndarray, senders: np.ndarray,
 
 
 @dataclass(frozen=True)
-class _ChunkResult:
-    """Raw per-request arrays for a run of consecutive requests of one chunk:
-    phase counts (final phase last; uint8, or uint16 from 256 replicas),
-    path flags, an index into PATH_NAMES, and with detail the per-replica
-    highest phase and crash step, (requests, n) int8."""
+class _BlockResult:
+    """Raw per-request arrays for one block of consecutive requests: phase
+    counts (final phase last; uint8, or uint16 where a count sums 256 flags
+    or more), path flags, an index into PATH_NAMES, and with detail the
+    per-replica highest phase and crash step, (requests, n) int8."""
 
     values: dict[str, np.ndarray]
     success: dict[str, np.ndarray]
@@ -257,7 +257,7 @@ class _ChunkResult:
 
 def _result(values: dict[str, np.ndarray], success: dict[str, np.ndarray],
             members: dict[str, np.ndarray], crashes: Sequence[tuple[np.ndarray, np.ndarray]],
-            detail: bool) -> _ChunkResult:
+            detail: bool) -> _BlockResult:
     """One block's result.  path is the first path in PATH_NAMES order whose
     flag is set.  With detail, members maps each detail phase, in chain
     order, to its receiver-major (n, G) membership mask, and crashes lists
@@ -270,7 +270,7 @@ def _result(values: dict[str, np.ndarray], success: dict[str, np.ndarray],
         if PATH_NAMES[code] in success:
             path[success[PATH_NAMES[code]]] = code
     if not detail:
-        return _ChunkResult(values, success, path)
+        return _BlockResult(values, success, path)
     # Phases and steps count up, so the last phase reached is the largest
     # member phase, and a first hit lifts a crash from -1 to its step.
     # Plain arithmetic on 0/1 bytes: masked writes cost ten times as much.
@@ -281,25 +281,8 @@ def _result(values: dict[str, np.ndarray], success: dict[str, np.ndarray],
     for step, (was_member, up) in enumerate(crashes, 1):
         hit = was_member & ~up & (crash < 0)
         crash += hit.view(np.int8) * np.int8(step + 1)
-    return _ChunkResult(values, success, path, highest.T.copy(), crash.T.copy(),
+    return _BlockResult(values, success, path, highest.T.copy(), crash.T.copy(),
                         ("start", *members))
-
-
-def _join(parts: list[_ChunkResult]) -> _ChunkResult:
-    """Concatenate the results of consecutive blocks, in order."""
-    if len(parts) == 1:
-        return parts[0]
-    joined = {}
-    for field in fields(_ChunkResult):
-        items = [getattr(part, field.name) for part in parts]
-        first = items[0]
-        if isinstance(first, dict):
-            joined[field.name] = {k: np.concatenate([item[k] for item in items]) for k in first}
-        elif isinstance(first, np.ndarray):
-            joined[field.name] = np.concatenate(items)
-        else:  # None, or the phase names every block shares
-            joined[field.name] = first
-    return _ChunkResult(**joined)
 
 
 # Each protocol has a draw layout, listing every uniform array in the order
@@ -485,18 +468,19 @@ def _sbft_block(cfg: ProtocolConfig, events: list[np.ndarray]) -> _Events:
     def collector_counts(sender_count: np.ndarray, links: np.ndarray) -> np.ndarray:
         return _received(links, slots < sender_count)  # (m, g)
 
-    # Fast path: rebroadcast to everyone, then f+1 execution acks.
+    # Fast path: rebroadcast to everyone, then f+1 execution acks.  Unsigned
+    # counts are widened before a difference: n may not fit a collector
+    # count's uint8, and a difference may go negative.
     n2f_cnt = _count(n2f)
-    c3f_cnt = rebroadcast(n2f, b3f, n - n2f_cnt)
+    c3f_cnt = rebroadcast(n2f, b3f, n - n2f_cnt.astype(np.int32))
     n3f_cnt = thin(c3f_cnt, up3f)
     c4f = collector_counts(n3f_cnt, a4f) >= th["fast_exec"]
     fast = c4f.any(axis=0)
 
     # Slow path: rebroadcast, 2f+c+1 commit shares, relay to the remaining
     # order holders, then f more execution acks beyond a collector's own.
-    # Unsigned counts are widened before a difference can go negative.
     n2s_cnt = _count(n2s)
-    c3s_cnt = rebroadcast(n2s, b3s, n - n2s_cnt)
+    c3s_cnt = rebroadcast(n2s, b3s, n - n2s_cnt.astype(np.int32))
     n3s_cnt = thin(c3s_cnt, up3s)
     c4s = collector_counts(n3s_cnt, a4s) >= th["slow_commit"]
     n4s = c4s & up4s
@@ -575,7 +559,7 @@ def _process_pool(pid: int) -> Executor:
 
 
 def _block_sampler(sim: SimConfig, chunk_index: int,
-                   detail: bool) -> tuple[int, Callable[[int], _ChunkResult]]:
+                   detail: bool) -> tuple[int, Callable[[int], _BlockResult]]:
     """The block size, and a function that samples the block of one chunk
     starting at a given request.
 
@@ -594,7 +578,7 @@ def _block_sampler(sim: SimConfig, chunk_index: int,
     key = _chunk_key(sim.seed, chunk_index)
     rates = {LINK: sim.failures.p_l, CRASH: sim.failures.p_c}
 
-    def run(start: int) -> _ChunkResult:
+    def run(start: int) -> _BlockResult:
         # Philox emits 4 outputs per counter step, so counter c resumes the
         # stream at output 4c; every offset here is a multiple of 4.
         bits = np.random.Philox(key=key, counter=0)
@@ -616,11 +600,12 @@ def _block_sampler(sim: SimConfig, chunk_index: int,
     return block, run
 
 
-def _sample(sim: SimConfig, chunk_index: int, lo: int, hi: int, detail: bool) -> _ChunkResult:
-    """Requests [lo, hi) of one chunk, widened to whole blocks; lo lies on
-    a block edge.  Blocks run on the worker pool and are joined in order."""
+def _sample(sim: SimConfig, chunk_index: int, lo: int, hi: int,
+            detail: bool) -> tuple[_BlockResult, ...]:
+    """The blocks of requests [lo, hi) of one chunk, in order, widened to
+    whole blocks; lo lies on a block edge.  Blocks run on the worker pool."""
     block, run = _block_sampler(sim, chunk_index, detail)
-    return _join(list(_pool().map(run, range(lo, hi, block))))
+    return tuple(_pool().map(run, range(lo, hi, block)))
 
 
 # Results are treated as read-only by all callers.  _request_block spares
@@ -629,12 +614,12 @@ def _sample(sim: SimConfig, chunk_index: int, lo: int, hi: int, detail: bool) ->
 # whole-chunk entry point for tests, and its cache for the cache_clear() of
 # the benchmark's tests.
 @lru_cache(maxsize=2)
-def _run_chunk(sim: SimConfig, chunk_index: int, detail: bool) -> _ChunkResult:
+def _run_chunk(sim: SimConfig, chunk_index: int, detail: bool) -> tuple[_BlockResult, ...]:
     return _sample(sim, chunk_index, 0, CHUNK, detail)
 
 
 @lru_cache(maxsize=2)
-def _request_block(sim: SimConfig, chunk_index: int, start: int) -> _ChunkResult:
+def _request_block(sim: SimConfig, chunk_index: int, start: int) -> _BlockResult:
     return _block_sampler(sim, chunk_index, True)[1](start)
 
 
@@ -670,7 +655,7 @@ def _interval(mean: float, sd: float, count: int, z: float) -> tuple[float, floa
     return (mean - half, mean + half)
 
 
-RecordSink = Callable[[int, _ChunkResult, int], None]
+RecordSink = Callable[[int, _BlockResult, int], None]
 
 
 def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> CampaignStats:
@@ -681,12 +666,12 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
     most two chunks of blocks are outstanding.  The calling thread adds each
     block to the totals, in request order, while the pool samples.
 
-    record_sink, if given, receives (start_index, chunk_result, valid_count)
-    for each chunk, in chunk order, on the calling thread while the pool
-    samples the next chunk; the result's arrays carry per-replica detail and
-    cover at least the chunk's first valid_count requests.  If the sink or a
-    block raises, the blocks not yet started are cancelled and the error
-    propagates.
+    record_sink, if given, receives (start, block, valid) for each block as
+    it arrives, in request order, on the calling thread while the pool
+    samples: start is the index of the block's first request, and valid the
+    number of its rows, from the first, that lie inside the campaign.  The
+    block carries per-replica detail.  If the sink or a block raises, the
+    blocks not yet started are cancelled and the error propagates.
     """
     detail = record_sink is not None
     requests = sim.requests
@@ -700,7 +685,7 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
     final_hist = np.zeros(2, dtype=np.int64)
     final_name = ""
 
-    def add(res: _ChunkResult, valid: int) -> None:
+    def add(res: _BlockResult, valid: int) -> None:
         """Add the first `valid` requests of a block's result."""
         nonlocal final_hist, final_name
         final_name = res.final_name
@@ -715,30 +700,25 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
             final_hist, counts = counts, final_hist
         final_hist[: len(counts)] += counts
 
-    def submit(chunk_index: int) -> deque[Future[_ChunkResult]]:
+    def submit(chunk_index: int) -> deque[Future[_BlockResult]]:
         block, run = _block_sampler(sim, chunk_index, detail)
         valid = min(requests - chunk_index * CHUNK, CHUNK)
         return deque(pool.submit(run, start) for start in range(0, valid, block))
 
-    current: deque[Future[_ChunkResult]] = deque()
+    current: deque[Future[_BlockResult]] = deque()
     ahead = submit(0)
     try:
         for chunk_index in range(chunks):
             current, ahead = ahead, submit(chunk_index + 1) if chunk_index + 1 < chunks else deque()
-            valid = remaining = min(requests - chunk_index * CHUNK, CHUNK)
-            parts: list[_ChunkResult] = []
+            start = chunk_index * CHUNK
             while current:
                 # A future holds its result, so each is dropped once added.
                 res = current.popleft().result()
-                add(res, remaining)
-                remaining -= len(res.path)
+                valid = min(requests - start, len(res.path))
+                add(res, valid)
                 if record_sink is not None:
-                    parts.append(res)
-            if record_sink is not None:
-                # Only the joined chunk is held, and only while the sink runs.
-                res, parts = _join(parts), []
-                record_sink(chunk_index * CHUNK, res, valid)
-            del res
+                    record_sink(start, res, valid)
+                start += len(res.path)
     finally:
         for future in (*current, *ahead):
             future.cancel()

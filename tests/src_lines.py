@@ -3,14 +3,17 @@
 Code lines are the non-blank lines that are neither comments nor part of a
 docstring (the first string statement of a module, class or function).
 
-    python tests/src_lines.py [source directory]
+    python tests/src_lines.py [--against REF] [source directory]
 
-The directory defaults to this checkout's src/bftprob.
+The directory defaults to this checkout's src/bftprob.  With --against, each
+module is also read at the git ref REF (with `git show`), and the code lines
+are printed before (at REF), after (in the directory) and as a delta.
 """
 
+import argparse
 import ast
 import io
-import sys
+import subprocess
 import tokenize
 from pathlib import Path
 
@@ -37,17 +40,39 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - skip)
 
 
-def main(argv: list[str]) -> None:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "bftprob"
-    totals = [0, 0]
-    print(f"{'module':<16}{'lines':>8}{'code':>8}")
-    for path in sorted(root.glob("*.py")):
-        lines, code = count(path.read_text())
-        totals[0] += lines
-        totals[1] += code
-        print(f"{path.name:<16}{lines:>8}{code:>8}")
-    print(f"{'total':<16}{totals[0]:>8}{totals[1]:>8}")
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
+                          check=True).stdout
+
+
+def _at_ref(root: Path, ref: str) -> dict[str, str]:
+    """The source of each module in `root` at the git ref, by file name."""
+    names = _git(root, "ls-tree", "--name-only", ref, "./").split()
+    return {name: _git(root, "show", f"{ref}:./{name}") for name in names if name.endswith(".py")}
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1] / "src" / "bftprob")
+    parser.add_argument("--against", metavar="REF", help="also count each module at this git ref")
+    args = parser.parse_args(argv)
+    after = {path.name: path.read_text() for path in sorted(args.root.glob("*.py"))}
+    rows = {name: count(source) for name, source in after.items()}
+    if args.against is None:
+        print(f"{'module':<16}{'lines':>8}{'code':>8}")
+        for name, (lines, code) in [*rows.items(), ("total", tuple(map(sum, zip(*rows.values()))))]:
+            print(f"{name:<16}{lines:>8}{code:>8}")
+        return
+    before = {name: count(source)[1] for name, source in _at_ref(args.root, args.against).items()}
+    names = sorted(before.keys() | rows.keys())
+    table = [(name, before.get(name, 0), rows.get(name, (0, 0))[1]) for name in names]
+    table.append(("total", sum(row[1] for row in table), sum(row[2] for row in table)))
+    print(f"code lines against {args.against}")
+    print(f"{'module':<16}{'before':>8}{'after':>8}{'delta':>8}")
+    for name, old, new in table:
+        print(f"{name:<16}{old:>8}{new:>8}{new - old:>+8}")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

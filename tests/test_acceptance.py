@@ -257,9 +257,9 @@ def test_criterion_9_determinism(tmp_path):
     forward = run_campaign(sim)
     totals = {}
     for chunk_index in reversed(range(3)):
-        res = _run_chunk(sim, chunk_index, detail=False)
-        for name, arr in res.values.items():
-            totals[name] = totals.get(name, 0.0) + float(arr.astype(float).sum())
+        for res in _run_chunk(sim, chunk_index, detail=False):
+            for name, arr in res.values.items():
+                totals[name] = totals.get(name, 0.0) + float(arr.astype(float).sum())
     schedule_ok = all(
         totals[st.name] / sim.requests == st.mean for st in forward.phase_stats
     )

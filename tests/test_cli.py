@@ -109,7 +109,7 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(cli, "_record_writer", failing_writer)
         with pytest.raises(RuntimeError, match="interrupted"):
-            main(args + ["--requests", "20000"])  # fails in its second chunk
+            main(args + ["--requests", "20000"])  # fails on its second block
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_zero_requests_rejected(self, capsys):
@@ -296,7 +296,9 @@ class TestReplicaCeiling:
         def built(*args, **kwargs):
             raise AssertionError("work started past the replica ceiling")
 
-        for module, name in ((protocols, "binom_rows"), (chain, "binom_rows"), (sim, "_sample"),
+        # Every simulator path, a campaign, a chunk or one request, samples
+        # through _block_sampler.
+        for module, name in ((protocols, "binom_rows"), (chain, "binom_rows"),
                              (sim, "_block_sampler")):
             monkeypatch.setattr(module, name, built)
         assert main(argv + self.PAST) == EXIT_USAGE

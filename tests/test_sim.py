@@ -14,7 +14,8 @@ from bftprob import (
     simulate_request,
     validate_model,
 )
-from bftprob.sim import CHUNK, _run_chunk, _sample
+from bftprob.cli import main
+from bftprob.sim import CHUNK, PATH_NAMES, _run_chunk, _sample
 
 
 def _sim(proto="pbft", n=4, f=1, c=0, pl=0.1, pc=0.1, requests=2000, seed=7):
@@ -49,9 +50,9 @@ class TestDeterminism:
         forward = run_campaign(sim)
         totals: dict[str, float] = {}
         for chunk_index in reversed(range(3)):
-            res = _run_chunk(sim, chunk_index, detail=False)
-            for name, arr in res.values.items():
-                totals[name] = totals.get(name, 0.0) + float(arr.astype(float).sum())
+            for res in _run_chunk(sim, chunk_index, detail=False):
+                for name, arr in res.values.items():
+                    totals[name] = totals.get(name, 0.0) + float(arr.astype(float).sum())
         for st in forward.phase_stats:
             assert totals[st.name] / sim.requests == pytest.approx(st.mean, abs=1e-12)
 
@@ -142,10 +143,67 @@ CRASH_REACH = {
 
 @pytest.mark.parametrize("config", CRASH_REACH, ids=lambda config: config[0])
 def test_crash_step_bounds_highest_phase(config):
-    res = _sample(_sim(*config, pl=0.1, pc=0.2, requests=CHUNK), 0, 0, CHUNK, detail=True)
-    reach = {step: {res.phase_names[h] for h in np.unique(res.highest[res.crash == step])}
-             for step in np.unique(res.crash).tolist() if step >= 1}
+    blocks = _sample(_sim(*config, pl=0.1, pc=0.2, requests=CHUNK), 0, 0, CHUNK, detail=True)
+    highest = np.concatenate([res.highest for res in blocks])
+    crash = np.concatenate([res.crash for res in blocks])
+    names = blocks[0].phase_names
+    reach = {step: {names[h] for h in np.unique(highest[crash == step])}
+             for step in np.unique(crash).tolist() if step >= 1}
     assert reach == CRASH_REACH[config]
+
+
+def _path_flags(cfg, values):
+    """Each path flag as the protocol derives it from its counts."""
+    th = cfg.thresholds()
+    if cfg.protocol in ("pbft", "bft-smart"):
+        return {"happy": values["N3"] >= th["happy"], "liveness": values["N3"] >= th["liveness"]}
+    done = ("C2_fast", "C4") if cfg.protocol == "zyzzyva" else ("C4_fast", "C6")
+    fast, slow = (values[name] >= 1 for name in done)
+    return {"fast": fast, "slow": slow, "combined": fast | slow}
+
+
+class TestLargeN:
+    """From 256 replicas a count can exceed a uint8, and n itself does not
+    fit one: every path still yields counts in [0, n] that agree with the
+    path flags."""
+
+    CONFIGS = [ProtocolConfig("pbft", 256, 85), ProtocolConfig("bft-smart", 256, 85),
+               ProtocolConfig("zyzzyva", 256, 85), ProtocolConfig("sbft", 256, 85),
+               ProtocolConfig("sbft", 258, 85, 1), ProtocolConfig("sbft", 1000, 333)]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda cfg: f"{cfg.protocol}-{cfg.n}")
+    def test_counts_in_range_and_flags_agree(self, cfg):
+        sim = SimConfig(cfg, FailureParams(0.05, 0.01), 64, 1)
+        blocks = []
+        stats = run_campaign(sim, record_sink=lambda *call: blocks.append(call))
+        plain = run_campaign(sim)
+        assert plain.phase_stats == stats.phase_stats
+        assert dict(plain.success) == dict(stats.success)
+        assert all(0 <= st.mean <= cfg.n for st in plain.phase_stats)
+        assert len(plain.final_counts) <= cfg.n + 1
+        for start, res, valid in blocks:
+            values = {name: arr[:valid].astype(np.int64) for name, arr in res.values.items()}
+            for name, arr in values.items():
+                assert ((arr >= 0) & (arr <= cfg.n)).all(), name
+            flags = _path_flags(cfg, values)
+            assert res.success.keys() == flags.keys()
+            for name, flag in flags.items():
+                assert np.array_equal(res.success[name][:valid], flag), name
+            path = (np.where(flags["happy"], 1, 0) if "happy" in flags
+                    else np.where(flags["fast"], 2, np.where(flags["slow"], 3, 0)))
+            assert np.array_equal(res.path[:valid], path)
+            quorum = flags["happy" if "happy" in flags else "combined"]
+            for row in (0, valid // 2, valid - 1):
+                rec = simulate_request(sim, start + row)
+                assert np.array_equal(rec.highest_phase, res.highest[row])
+                assert np.array_equal(rec.crash_step, res.crash[row])
+                assert rec.path == PATH_NAMES[path[row]]
+                assert rec.success_quorum == quorum[row]
+
+    def test_simulate_sbft_at_256(self, capsys):
+        assert main(["simulate", "--protocol", "sbft", "-n", "256", "-f", "85", "--pl", "0.05",
+                     "--pc", "0.01", "--requests", "64", "--seed", "1"]) == 0
+        assert "success combined=" in capsys.readouterr().out
 
 
 class TestModelAgreement:
@@ -176,10 +234,10 @@ class TestModelAgreement:
     def test_sim_and_model_name_the_same_phases(self, proto, n, f, c):
         # compare_to_model skips any name the model lacks, so a renamed
         # phase would silently drop a check.
-        chunks = []
+        blocks = []
         sim = _sim(proto, n, f, c, requests=100)
-        stats = run_campaign(sim, record_sink=lambda start, res, valid: chunks.append(res))
-        (res,) = chunks
+        stats = run_campaign(sim, record_sink=lambda start, res, valid: blocks.append(res))
+        (res,) = blocks
         trace = model_trace(sim.config, sim.failures)
         assert tuple(name for name in res.values if name != "Cp") == trace.phase_names()
         assert res.final_name == stats.final_phase == trace.phase_names()[-1]

@@ -16,7 +16,7 @@ import pytest
 import bftprob
 from bftprob import FailureParams, ProtocolConfig, SimConfig, run_campaign, simulate_request
 from bftprob import sim as sim_module
-from bftprob.sim import CHUNK, _block_requests, _chunk_key, _cut, _join, _received, _sample
+from bftprob.sim import CHUNK, _block_requests, _chunk_key, _cut, _received, _sample
 
 CONFIGS = [
     ProtocolConfig("pbft", 7, 2),
@@ -31,17 +31,23 @@ def _sim(cfg, requests=CHUNK, seed=4242, pl=0.1, pc=0.05):
     return SimConfig(cfg, FailureParams(pl, pc), requests, seed)
 
 
-def _arrays(res):
-    out = {f"values/{k}": v for k, v in res.values.items()}
-    out.update({f"success/{k}": v for k, v in res.success.items()})
-    out.update(path=res.path, highest=res.highest, crash=res.crash)
-    return out
+def _arrays(blocks):
+    """Every array of a run of blocks, joined in request order."""
+    parts = {}
+    for res in blocks:
+        arrays = {f"values/{k}": v for k, v in res.values.items()}
+        arrays.update({f"success/{k}": v for k, v in res.success.items()})
+        arrays.update(path=res.path, highest=res.highest, crash=res.crash)
+        for name, values in arrays.items():
+            parts.setdefault(name, []).append(values)
+    return {name: None if values[0] is None else np.concatenate(values)
+            for name, values in parts.items()}
 
 
-def _assert_same_arrays(res, ref):
-    arrays, expected = _arrays(res), _arrays(ref)
+def _assert_same_arrays(blocks, ref):
+    arrays, expected = _arrays(blocks), _arrays(ref)
     assert arrays.keys() == expected.keys()
-    assert res.phase_names == ref.phase_names
+    assert {res.phase_names for res in blocks} == {res.phase_names for res in ref}
     for name, values in expected.items():
         if values is None:
             assert arrays[name] is None, name
@@ -59,8 +65,8 @@ def _assert_same_stats(stats, ref):
 
 
 def _drawn_slice_by_slice(sim, chunk_index, lo, hi, detail):
-    """Requests [lo, hi) of a chunk, every array drawn whatever its rate and
-    turned into its receiver-major event mask by u >= _cut(rate)."""
+    """The blocks of requests [lo, hi) of a chunk, every array drawn whatever
+    its rate and turned into its receiver-major event mask by u >= _cut(rate)."""
     cfg = sim.config
     draws, block_sampler = sim_module._SAMPLERS[cfg.protocol]
     block = _block_requests(cfg)
@@ -76,7 +82,7 @@ def _drawn_slice_by_slice(sim, chunk_index, lo, hi, detail):
             events.append(np.moveaxis(u >= _cut(rates[kind]), 0, -1))
             offset += CHUNK * size
         parts.append(sim_module._result(*block_sampler(cfg, events), detail))
-    return _join(parts)
+    return tuple(parts)
 
 
 @pytest.fixture
@@ -137,18 +143,18 @@ class TestInvariance:
         valid_last = 100
         sim = _sim(cfg, requests=CHUNK + valid_last)
         block = _block_requests(cfg)
-        chunks = {}
+        blocks = {}
 
         def keep(start, res, valid):
-            chunks[start] = (res, valid)
+            blocks[start] = (res, valid)
 
         run_campaign(sim, record_sink=keep)
-        assert sorted(chunks) == [0, CHUNK]
+        assert list(blocks) == [*range(0, CHUNK, block), *range(CHUNK, CHUNK + valid_last, block)]
         last_block = valid_last - 1 - (valid_last - 1) % block
         picks = [*range(40), block - 1, CHUNK, CHUNK + last_block, CHUNK + valid_last - 1]
         for rid in picks:
-            start = rid - rid % CHUNK
-            res, valid = chunks[start]
+            start = rid - rid % block
+            res, valid = blocks[start]
             row = rid - start
             assert row < valid
             rec = simulate_request(sim, rid)
@@ -203,8 +209,8 @@ class TestCampaignLoop:
             return block_sampler(cfg, events)
 
         def sink(start, res, valid):
-            if start == CHUNK:
-                raise RuntimeError("sink failed on chunk 2")
+            if start + len(res.path) == 2 * CHUNK:
+                raise RuntimeError("sink failed on the last block of chunk 2")
 
         monkeypatch.setitem(sim_module._SAMPLERS, cfg.protocol, (draws, gated))
         try:
@@ -213,8 +219,9 @@ class TestCampaignLoop:
         finally:
             release.set()
         pool.shutdown(wait=True)
-        # Chunk 3 was submitted before chunk 2 was awaited; at most its first
-        # block had started when the sink raised, and the rest never ran.
+        # Chunk 3 was submitted before chunk 2 was awaited; every block of
+        # chunk 2 had run, at most chunk 3's first block had started when the
+        # sink raised, and the rest never ran.
         assert 2 * per_chunk <= len(calls) <= 2 * per_chunk + 1
 
 
@@ -295,11 +302,11 @@ def test_large_n_chunk_memory_is_bounded():
     sim = _sim(ProtocolConfig("pbft", 150, 49), requests=CHUNK)
     tracemalloc.start()
     try:
-        res = _sample(sim, 0, 0, CHUNK, detail=False)
+        blocks = _sample(sim, 0, 0, CHUNK, detail=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(res.values["N3"]) == CHUNK
+    assert sum(len(res.values["N3"]) for res in blocks) == CHUNK
     assert peak < 2**30, f"peak {peak / 2**20:.0f} MB"
     pool_threads = [t for t in threading.enumerate() if t.name.startswith("bftprob-sim")]
     assert 0 < len(pool_threads) <= len(os.sched_getaffinity(0))
