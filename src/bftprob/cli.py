@@ -224,8 +224,8 @@ def _record_writer(log):
     suffix by code in a NUL-padded uint8 table (`_row_tables`).  A block's
     request-id digits, the replica's ",{r}" and the gathered suffix fill one
     (requests, n, width) byte buffer, whose non-NUL bytes are the rows in
-    order.  `sim` bounds a block to 2**16 rows, so the buffers stay a few MB
-    whatever the replica count.
+    order.  `sim._BLOCK_ROWS` bounds a block to 2**16 (request, replica)
+    rows, so the buffers stay a few MB whatever the replica count.
     """
 
     def sink(start: int, res, valid: int) -> None:

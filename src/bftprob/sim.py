@@ -26,7 +26,7 @@ array, a replica still up for a crash array.  The mask is receiver-major,
 rows and a message count one einsum over senders.  The samplers see only
 these masks, and only the detail arrays go back to (G, n), once per block.
 Where a block holds fewer requests than a phase has receivers (PBFT and
-BFT-SMaRt from n = 45), the transpose costs more than the sum; summing such
+BFT-SMaRt from n = 65), the transpose costs more than the sum; summing such
 link masks request-major instead is a change to the driver and `_received`
 alone, since those samplers pass their message masks to `_received`
 untouched.
@@ -34,19 +34,20 @@ untouched.
 Memory: with D draws per request (2n^2 + 3n - 2 for PBFT, 2n^2 + 4n - 2
 for BFT-SMaRt, 6n + 2 for Zyzzyva, 7nm + 5n + 2m - 1 for SBFT with
 m = c + 1 collectors), a block holds b requests, b the largest power of two
-in [4, CHUNK] with b * D <= 2**18.  A worker's masks take one byte per
-draw, b * D bytes: at most 256 KiB while D <= 2**16, and 4 * D bytes beyond
-(8 n^2 bytes for PBFT).  The 8-byte draws of one array are held at a time,
-with two more bytes per draw for its mask and the mask's transpose, and are
-dropped once compared: one PBFT block peaks under tracemalloc at 1.08 MiB
-at n = 7 and 0.95 MiB at n = 150.  A campaign keeps at most two chunks of
-blocks outstanding: the one it waits on and the one the pool samples
-ahead.  The calling thread adds each block to the campaign's integer sums
-as it arrives, hands it to the record sink if there is one, and drops it:
-no chunk is ever joined.  With detail, a block's (b, n) int8 `highest` and
-`crash` arrays take two bytes per replica and request, so the two chunks of
-them that can be outstanding take 64 KiB per replica, about 63 MiB at
-n = 1000.
+in [4, CHUNK] with b * D <= 2**20 draws and b * n <= 2**16 rows.  A
+worker's masks take one byte per draw, b * D bytes: at most 1 MiB while
+D <= 2**18, and 4 * D bytes beyond (8 n^2 bytes for PBFT).  Each array is
+drawn in pieces of 2**14 values, compared straight into its mask, so its
+8-byte draws are held one 128 KiB piece at a time; the mask's transpose
+adds one more byte per draw of that array.  One PBFT detail block peaks
+under tracemalloc at 1.76 MiB at n = 7, 1.04 MiB at n = 150 and 11.5 MiB
+at n = 1000.  A campaign keeps at most two chunks of blocks outstanding:
+the one it waits on and the one the pool samples ahead.  The calling thread
+adds each block to the campaign's integer sums as it arrives, hands it to
+the record sink if there is one, and drops it: no chunk is ever joined.
+With detail, a block's (b, n) int8 `highest` and `crash` arrays take two
+bytes per replica and request, so the two chunks of them that can be
+outstanding take 64 KiB per replica, about 63 MiB at n = 1000.
 """
 
 from __future__ import annotations
@@ -205,6 +206,9 @@ def _cut(p: float) -> np.uint64:
     Generator.random returns (x >> 11) * 2**-53 for each 64-bit Philox
     output x, and p * 2**53 is exact, so comparing the integers k = x >> 11
     with ceil(p * 2**53) decides every link and crash draw as the floats do.
+    The block driver compares the raw outputs x with _cut(p) << 11 instead,
+    which decides alike: for an integer c < 2**53, x >> 11 >= c exactly when
+    x >= c << 11.
     """
     return np.uint64(math.ceil(p * 2.0**53))
 
@@ -526,17 +530,23 @@ _SAMPLERS: dict[str, tuple[_Draws, _Block]] = {
     SBFT: (_sbft_draws, _sbft_block),
 }
 
-# Draws one block covers, over all of its arrays.
-_BLOCK_DRAWS = 1 << 18
+# Draws one block covers, over all of its arrays; (request, replica) rows
+# one block holds; and draws taken from the stream in one call.
+_BLOCK_DRAWS = 1 << 20
+_BLOCK_ROWS = 1 << 16
+_PIECE = 1 << 14
 
 
 def _block_requests(cfg: ProtocolConfig) -> int:
     """Requests per block: the largest power of two in [4, CHUNK] whose
-    draws fit in _BLOCK_DRAWS.  A multiple of 4, so every block starts on a
-    Philox counter boundary, and a divisor of CHUNK."""
+    draws fit in _BLOCK_DRAWS and whose rows, requests times n, fit in
+    _BLOCK_ROWS, which bounds what the record sink formats in one call.  A
+    multiple of 4, so every block starts on a Philox counter boundary, and
+    a divisor of CHUNK.  Pieces of _PIECE draws keep the bigger blocks'
+    8-byte draws small."""
     per_request = sum(math.prod(shape) for _, shape in _SAMPLERS[cfg.protocol][0](cfg))
     block = CHUNK
-    while block > 4 and block * per_request > _BLOCK_DRAWS:
+    while block > 4 and (block * per_request > _BLOCK_DRAWS or block * cfg.n > _BLOCK_ROWS):
         block //= 2
     return block
 
@@ -564,10 +574,11 @@ def _block_sampler(sim: SimConfig, chunk_index: int,
     starting at a given request.
 
     Each block draws its slice of every array from that slice's exact
-    offset in the chunk stream and turns it into a receiver-major event
-    mask, (*row shape, G), as soon as it is drawn: u >= _cut(rate).  An
-    array whose rate is 0 or 1 is not drawn, since every draw would decide
-    alike: its mask is constant, True where the rate is 0.
+    offset in the chunk stream, in pieces of _PIECE values, and turns it
+    into a receiver-major event mask, (*row shape, G), as it is drawn:
+    u >= _cut(rate), compared on the raw outputs as x >= _cut(rate) << 11.
+    An array whose rate is 0 or 1 is not drawn, since every draw would
+    decide alike: its mask is constant, True where the rate is 0.
     """
     cfg = sim.config
     draws, block_sampler = _SAMPLERS[cfg.protocol]
@@ -591,10 +602,13 @@ def _block_sampler(sim: SimConfig, chunk_index: int,
                 continue
             bits.advance((offset + start * size - at) // 4)
             at = offset + (start + block) * size
-            u = bits.random_raw(block * size).reshape(block, size)
-            u >>= 11
-            events.append((u >= _cut(rate)).T.copy().reshape(*shape, block))
-            del u  # one array's 8-byte draws at a time
+            # The stream runs on from piece to piece, so 8-byte draws are
+            # held one piece at a time.
+            cut, mask = _cut(rate) << np.uint64(11), np.empty(block * size, dtype=bool)
+            for i in range(0, len(mask), _PIECE):
+                piece = mask[i:i + _PIECE]
+                np.greater_equal(bits.random_raw(len(piece)), cut, out=piece)
+            events.append(mask.reshape(block, size).T.copy().reshape(*shape, block))
         return _result(*block_sampler(cfg, events), detail)
 
     return block, run

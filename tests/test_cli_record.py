@@ -75,9 +75,9 @@ def test_campaign_past_100000_matches_reference():
     block = _block_requests(ProtocolConfig("pbft", 4, 1))
     starts = [start for chunk in range(0, 100_005, CHUNK)
               for start in range(chunk, min(chunk + CHUNK, 100_005), block)]
-    assert [start for start, _, _ in calls] == starts and len(calls) == 25
+    assert [start for start, _, _ in calls] == starts
     assert all(len(res.path) == block for _, res, _ in calls)
-    assert [valid for _, _, valid in calls] == [block] * 24 + [100_005 - 6 * CHUNK]
+    assert [valid for _, _, valid in calls] == [block] * (len(starts) - 1) + [100_005 - 6 * CHUNK]
     _assert_same_bytes(calls)
 
 
@@ -140,18 +140,23 @@ def _domain():
 
 def test_block_rows_bounded():
     # The record sink formats one block per call, so its buffers follow
-    # the rows of the largest block: Zyzzyva's 64 requests at n = 682.
+    # the rows of the largest block: _BLOCK_ROWS, first reached at n = 4.
+    # Of the blocks that reach it, Zyzzyva's 128 requests at n = 512 have
+    # the most replicas.
     rows = {cfg: _block_requests(cfg) * cfg.n for cfg in _domain()}
-    assert max(rows.values()) == 43_648 <= 2**16
-    assert rows[ProtocolConfig("zyzzyva", 682, 227)] == 43_648
+    assert max(rows.values()) == sim_module._BLOCK_ROWS == 2**16
+    widest = max((cfg for cfg, count in rows.items() if count == 2**16), key=lambda cfg: cfg.n)
+    assert min(cfg.n for cfg, count in rows.items() if count == 2**16) == 4
+    assert widest == ProtocolConfig("zyzzyva", 512, 170)
+    assert _block_requests(widest) == 128
 
 
 def test_largest_block_memory_bounded():
-    # A synthetic block of 43,648 rows at the widest row format: SBFT's
-    # phase names, 64 requests of 12-digit ids that gain a digit inside the
-    # block, and 682 replicas.  The sink only reads these three arrays.
+    # A synthetic block of 65,536 rows at the widest row format: SBFT's
+    # phase names, 128 requests of 12-digit ids that gain a digit inside
+    # the block, and 512 replicas.  The sink only reads these three arrays.
     rng = np.random.default_rng(0)
-    requests, n = 64, 682
+    requests, n = 128, 512
     names = ("start", "C1", "N1", "C3_slot", "N5_slot")
     res = _BlockResult({}, {}, rng.integers(0, 4, requests).astype(np.int8),
                        rng.integers(0, len(names), (requests, n)).astype(np.int8),
@@ -161,7 +166,7 @@ def test_largest_block_memory_bounded():
         sink = cli._record_writer(log)
         tracemalloc.start()
         try:
-            sink(10**12 - 32, res, requests)
+            sink(10**12 - requests // 2, res, requests)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -119,6 +119,20 @@ class TestInvariance:
                 assert values.dtype == arrays[name].dtype, (key, name)
                 assert np.array_equal(values, arrays[name]), (key, name)
 
+    @pytest.mark.parametrize("piece", [12, 4 * 7 * 31])
+    @pytest.mark.parametrize("detail", [False, True], ids=["aggregate", "detail"])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.protocol)
+    def test_piece_edges_do_not_change_draws(self, cfg, detail, piece, monkeypatch):
+        # Pieces that end inside a request's row and inside an array, with
+        # a short last piece, draw what one call per array draws.
+        monkeypatch.setattr(sim_module, "_BLOCK_DRAWS", SMALL_BLOCK_DRAWS)
+        monkeypatch.setattr(sim_module, "_PIECE", piece)
+        hi = 3 * _block_requests(cfg)
+        for p_l, p_c in [(0.1, 0.05), (0.0, 0.05)]:
+            sim = _sim(cfg, pl=p_l, pc=p_c)
+            _assert_same_arrays(_sample(sim, 1, 0, hi, detail),
+                                _drawn_slice_by_slice(sim, 1, 0, hi, detail))
+
     def test_more_workers_than_cores_with_fast_switching(self, workers, monkeypatch):
         monkeypatch.setattr(sim_module, "_BLOCK_DRAWS", SMALL_BLOCK_DRAWS)
         sim = _sim(CONFIGS[0])
@@ -243,6 +257,8 @@ class TestRateSkip:
                                 _drawn_slice_by_slice(sim, 1, 0, hi, detail))
 
     def test_skipped_arrays_are_not_drawn(self, monkeypatch):
+        # The driver seeks once per drawn array, then draws it in pieces:
+        # the values drawn after each seek are one array's.
         cfg = CONFIGS[0]
         sizes = []
         philox = np.random.Philox
@@ -252,10 +268,11 @@ class TestRateSkip:
                 self.bits = philox(**kwargs)
 
             def advance(self, delta):
+                sizes.append(0)
                 self.bits.advance(delta)
 
             def random_raw(self, size):
-                sizes.append(size)
+                sizes[-1] += size
                 return self.bits.random_raw(size)
 
         monkeypatch.setattr(np.random, "Philox", Counting)
@@ -312,11 +329,30 @@ def test_large_n_chunk_memory_is_bounded():
     assert 0 < len(pool_threads) <= len(os.sched_getaffinity(0))
 
 
+@pytest.mark.parametrize("protocol", ["pbft", "bft-smart"])
+def test_large_n_block_memory_is_bounded(protocol):
+    # One detail block at n=1000 holds 4 requests of about 2 million draws
+    # each.  Drawn in pieces, its 8-byte draws never take more than one
+    # piece; drawn a whole array at a time, they would take 32 MB.
+    sim = _sim(ProtocolConfig(protocol, 1000, 333))
+    block, run = sim_module._block_sampler(sim, 0, True)
+    assert block == 4
+    tracemalloc.start()
+    try:
+        res = run(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.highest.shape == (block, 1000)
+    assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
 @pytest.mark.parametrize("p_l,p_c", [(0.1, 0.05), (0.3, 0.5)])
 def test_draw_at_the_cut_is_an_event(monkeypatch, p_l, p_c):
     # A draw equal to the cut delivers its message or keeps its replica up;
     # one below it does not.  Random draws hit the cut with probability
-    # 2**-53, so the driver is fed draws that sit on it, or just under it.
+    # 2**-53, so the driver is fed raw outputs that sit on it, or one under
+    # it: the largest output whose 53-bit draw is below the cut.
     cfg = CONFIGS[0]
     sim = _sim(cfg, pl=p_l, pc=p_c)
     draws, block_sampler = sim_module._SAMPLERS[cfg.protocol]
@@ -328,20 +364,23 @@ def test_draw_at_the_cut_is_an_event(monkeypatch, p_l, p_c):
 
     monkeypatch.setitem(sim_module._SAMPLERS, cfg.protocol, (draws, keep))
     for below in (0, 1):
-        cuts = iter(int(_cut(rate)) - below for rate in (p_l, p_c) * 3)
+        cuts = iter((int(_cut(rate)) << 11) - below for rate in (p_l, p_c) * 3)
 
         class AtCut:
+            # The driver seeks once per drawn array and draws it in pieces,
+            # so each seek moves on to the next array's cut.
             def __init__(self, **kwargs):
-                pass
+                self.cut = None
 
             def advance(self, delta):
-                pass
+                self.cut = next(cuts)
 
             def random_raw(self, size):
-                return np.full(size, next(cuts) << 11, dtype=np.uint64)
+                return np.full(size, self.cut, dtype=np.uint64)
 
         monkeypatch.setattr(np.random, "Philox", AtCut)
         sim_module._block_sampler(sim, 0, True)[1](0)
+        assert next(cuts, None) is None
         events = seen.pop()
         assert [mask.shape[:-1] for mask in events] == [shape for _, shape in draws(cfg)]
         assert all(mask.all() if below == 0 else not mask.any() for mask in events)
