@@ -43,8 +43,10 @@ adds one more byte per draw of that array.  One PBFT detail block peaks
 under tracemalloc at 1.76 MiB at n = 7, 1.04 MiB at n = 150 and 11.5 MiB
 at n = 1000.  A campaign keeps at most two chunks of blocks outstanding:
 the one it waits on and the one the pool samples ahead.  The calling thread
-adds each block to the campaign's integer sums as it arrives, hands it to
-the record sink if there is one, and drops it: no chunk is ever joined.
+adds each block to the campaign's histograms as it arrives, one int64
+histogram of counts 0..n per phase, phases * (n + 1) * 8 bytes (16 phases
+for SBFT, about 125 KiB at n = 1000); it hands the block to the record sink
+if there is one, and drops it: no chunk is ever joined.
 With detail, a block's (b, n) int8 `highest` and `crash` arrays take two
 bytes per replica and request, so the two chunks of them that can be
 outstanding take 64 KiB per replica, about 63 MiB at n = 1000.
@@ -160,7 +162,9 @@ class CampaignStats:
     sim: SimConfig
     phase_stats: tuple[PhaseStat, ...]
     final_phase: str
-    final_counts: np.ndarray  # empirical pmf of the final phase count
+    # empirical pmf of the final phase count, over counts 0 up to the
+    # largest one seen, and at least 0..1
+    final_counts: np.ndarray
     success: Mapping[str, float]
     success_ci: Mapping[str, tuple[float, float]]
 
@@ -614,12 +618,11 @@ def _block_sampler(sim: SimConfig, chunk_index: int,
     return block, run
 
 
-def _sample(sim: SimConfig, chunk_index: int, lo: int, hi: int,
-            detail: bool) -> tuple[_BlockResult, ...]:
-    """The blocks of requests [lo, hi) of one chunk, in order, widened to
-    whole blocks; lo lies on a block edge.  Blocks run on the worker pool."""
+def _sample(sim: SimConfig, chunk_index: int, hi: int, detail: bool) -> tuple[_BlockResult, ...]:
+    """The blocks of requests [0, hi) of one chunk, in order, widened to
+    whole blocks.  Blocks run on the worker pool."""
     block, run = _block_sampler(sim, chunk_index, detail)
-    return tuple(_pool().map(run, range(lo, hi, block)))
+    return tuple(_pool().map(run, range(0, hi, block)))
 
 
 # Results are treated as read-only by all callers.  _request_block spares
@@ -629,7 +632,7 @@ def _sample(sim: SimConfig, chunk_index: int, lo: int, hi: int,
 # the benchmark's tests.
 @lru_cache(maxsize=2)
 def _run_chunk(sim: SimConfig, chunk_index: int, detail: bool) -> tuple[_BlockResult, ...]:
-    return _sample(sim, chunk_index, 0, CHUNK, detail)
+    return _sample(sim, chunk_index, CHUNK, detail)
 
 
 @lru_cache(maxsize=2)
@@ -678,7 +681,11 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
     Blocks run on the worker pool, which is kept one chunk ahead: the blocks
     of chunk k + 1 are submitted before the campaign waits on chunk k, so at
     most two chunks of blocks are outstanding.  The calling thread adds each
-    block to the totals, in request order, while the pool samples.
+    block, in request order, while the pool samples, to one int64 histogram
+    of counts 0..n per phase.  Each mean and sample variance comes from the
+    exact integer moments of its histogram, and final_counts is the final
+    phase's histogram over counts 0 up to the largest one seen, and at
+    least 0..1.
 
     record_sink, if given, receives (start, block, valid) for each block as
     it arrives, in request order, on the calling thread while the pool
@@ -689,30 +696,22 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
     """
     detail = record_sink is not None
     requests = sim.requests
+    size = sim.config.n + 1
     chunks = (requests + CHUNK - 1) // CHUNK
     pool = _pool()
 
-    # Integer totals, exact below 2**53; each mean is one division.
-    sums: dict[str, int] = {}
-    sumsq: dict[str, int] = {}
+    # Every count lies in 0..n; the histograms keep the phases' order, so
+    # the final phase's comes last.
+    hists: dict[str, np.ndarray] = {}
     succ_counts: dict[str, int] = {}
-    final_hist = np.zeros(2, dtype=np.int64)
-    final_name = ""
 
     def add(res: _BlockResult, valid: int) -> None:
         """Add the first `valid` requests of a block's result."""
-        nonlocal final_hist, final_name
-        final_name = res.final_name
         for name, arr in res.values.items():
-            vals = arr[:valid].astype(np.int64)
-            sums[name] = sums.get(name, 0) + int(vals.sum())
-            sumsq[name] = sumsq.get(name, 0) + int((vals * vals).sum())
+            hist = hists.setdefault(name, np.zeros(size, dtype=np.int64))
+            hist += np.bincount(arr[:valid], minlength=size)
         for name, arr in res.success.items():
             succ_counts[name] = succ_counts.get(name, 0) + int(arr[:valid].sum())
-        counts = np.bincount(res.values[final_name][:valid], minlength=2)
-        if len(counts) > len(final_hist):
-            final_hist, counts = counts, final_hist
-        final_hist[: len(counts)] += counts
 
     def submit(chunk_index: int) -> deque[Future[_BlockResult]]:
         block, run = _block_sampler(sim, chunk_index, detail)
@@ -738,10 +737,12 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
             future.cancel()
 
     z = normal_quantile(0.5 + CONFIDENCE / 2.0)
+    counts = np.arange(size, dtype=np.int64)
     stats = []
-    for name, total in sums.items():
-        mean = total / requests
-        var = max(sumsq[name] / requests - mean * mean, 0.0)
+    for name, hist in hists.items():
+        # The exact integer sum and sum of squares; each mean is one division.
+        mean = int(hist @ counts) / requests
+        var = max(int(hist @ counts**2) / requests - mean * mean, 0.0)
         sd = float(np.sqrt(var * requests / max(requests - 1, 1)))
         lo, hi = _interval(mean, sd, requests, z)
         stats.append(PhaseStat(name, mean, lo, hi))
@@ -754,50 +755,33 @@ def run_campaign(sim: SimConfig, record_sink: RecordSink | None = None) -> Campa
         success[name] = p
         success_ci[name] = _interval(p, sd, requests, z)
 
+    final_name, final = next(reversed(hists.items()))
+    seen = max(int(np.flatnonzero(final)[-1]) + 1, 2)
     return CampaignStats(
         sim=sim,
         phase_stats=tuple(stats),
         final_phase=final_name,
-        final_counts=final_hist / requests,
+        final_counts=final[:seen] / requests,
         success=success,
         success_ci=success_ci,
     )
 
 
-def _predictions(trace: PhaseTrace) -> dict[str, float]:
-    preds = {name: pmf.mean() for name, pmf in trace.phases}
-    if trace.primary_quorum_prob is not None:
-        preds["Cp"] = trace.primary_quorum_prob
-    return preds
-
-
 def compare_to_model(stats: CampaignStats, trace: PhaseTrace) -> ModelCheck:
-    """Check that campaign intervals cover the analytic predictions."""
+    """Check that campaign intervals cover the analytic predictions: a row
+    for each phase mean, then for each path success, that the model names.
+    Phase and path names are disjoint, so one map holds every prediction."""
     if trace.config.protocol != stats.sim.config.protocol:
         raise DomainError(f"trace is for {trace.config.protocol!r}; the campaign "
                           f"simulated {stats.sim.config.protocol!r}")
-    preds = _predictions(trace)
-    rows: list[CheckRow] = []
-    for st in stats.phase_stats:
-        if st.name not in preds:
-            continue
-        predicted = preds[st.name]
-        rows.append(
-            CheckRow(
-                name=st.name,
-                predicted=predicted,
-                observed=st.mean,
-                ci_lo=st.ci_lo,
-                ci_hi=st.ci_hi,
-                covered=st.ci_lo <= predicted <= st.ci_hi,
-            )
-        )
-    for name, observed in stats.success.items():
-        if name not in trace.path_success:
-            continue
-        predicted = trace.path_success[name]
-        lo, hi = stats.success_ci[name]
-        rows.append(CheckRow(name, predicted, observed, lo, hi, lo <= predicted <= hi))
+    predicted = {name: pmf.mean() for name, pmf in trace.phases}
+    if trace.primary_quorum_prob is not None:
+        predicted["Cp"] = trace.primary_quorum_prob
+    predicted.update(trace.path_success)
+    observed = [(st.name, st.mean, st.ci_lo, st.ci_hi) for st in stats.phase_stats]
+    observed += [(name, p, *stats.success_ci[name]) for name, p in stats.success.items()]
+    rows = [CheckRow(name, predicted[name], mean, lo, hi, lo <= predicted[name] <= hi)
+            for name, mean, lo, hi in observed if name in predicted]
     coverage = sum(r.covered for r in rows) / len(rows)
     return ModelCheck(sim=stats.sim, rows=tuple(rows), coverage=coverage)
 

@@ -2,9 +2,12 @@
 
 A pin is the sha256 of the bytes that `bftprob simulate --output --record`
 writes, for each case in CASES, on CHUNK + 100 requests, so that
-one full chunk and one partial chunk are covered.  The simulator's stream
-layout is part of its contract: any change to the draws a request sees, or
-to how campaign statistics are aggregated and printed, moves a pin.
+one full chunk and one partial chunk are covered.  A validate pin is the
+sha256 of what `bftprob validate --output` writes, with its exit code, for
+each protocol in VALIDATE_CASES over the grid PL_VALUES x PC_VALUES, on as
+many requests.  The simulator's stream layout is part of its contract: any
+change to the draws a request sees, or to how campaign statistics are
+aggregated, compared with a model and printed, moves a pin.
 
 Usage, from the repository root:
 
@@ -41,30 +44,62 @@ CASES = (
     ("zyzzyva", 7, 2, 0, 1.0, 0.05),
     ("sbft", 6, 1, 1, 0.1, 0.0),
 )
+# (protocol, n, f, c): criterion 3's configurations, PBFT's Cp row among
+# them, each validated at rates of 0, 1 and one interior value.
+VALIDATE_CASES = (
+    ("pbft", 7, 2, 0),
+    ("bft-smart", 7, 2, 0),
+    ("zyzzyva", 7, 2, 0),
+    ("sbft", 6, 1, 1),
+)
+PL_VALUES = (0.0, 0.1, 1.0)
+PC_VALUES = (0.0, 0.05, 1.0)
 
 
 def case_key(protocol: str, n: int, f: int, c: int, p_l: float, p_c: float) -> str:
     return f"{protocol}/n{n}/f{f}/c{c}/pl{p_l!r}/pc{p_c!r}"
 
 
+def validate_key(protocol: str, n: int, f: int, c: int) -> str:
+    return f"validate/{protocol}/n{n}/f{f}/c{c}"
+
+
+def _run(argv: list[str]) -> int:
+    from bftprob.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
 def simulate_digests(protocol: str, n: int, f: int, c: int, p_l: float,
                      p_c: float) -> dict[str, str]:
     """sha256 of the `--output` and `--record` files for one case."""
-    from bftprob.cli import EXIT_OK, main
+    from bftprob.cli import EXIT_OK
     from bftprob.sim import CHUNK
 
     with tempfile.TemporaryDirectory() as tmp:
         stats, record = Path(tmp) / "stats.csv", Path(tmp) / "log.csv"
-        argv = ["simulate", "--protocol", protocol, "-n", str(n), "-f", str(f), "-c", str(c),
-                "--pl", repr(p_l), "--pc", repr(p_c), "--requests", str(CHUNK + 100),
-                "--seed", str(SEED), "--output", str(stats), "--record", str(record)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+        code = _run(["simulate", "--protocol", protocol, "-n", str(n), "-f", str(f), "-c", str(c),
+                     "--pl", repr(p_l), "--pc", repr(p_c), "--requests", str(CHUNK + 100),
+                     "--seed", str(SEED), "--output", str(stats), "--record", str(record)])
         if code != EXIT_OK:
             raise RuntimeError(f"simulate exited {code} for "
                                f"{case_key(protocol, n, f, c, p_l, p_c)}")
         return {name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for name, path in (("output", stats), ("record", record))}
+
+
+def validate_digest(protocol: str, n: int, f: int, c: int) -> dict[str, str | int]:
+    """sha256 of the `validate --output` file for one case, and the exit code."""
+    from bftprob.sim import CHUNK
+
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = Path(tmp) / "validate.csv"
+        code = _run(["validate", "--protocol", protocol, "-n", str(n), "-f", str(f), "-c", str(c),
+                     "--pl-values", ",".join(map(repr, PL_VALUES)),
+                     "--pc-values", ",".join(map(repr, PC_VALUES)),
+                     "--requests", str(CHUNK + 100), "--seed", str(SEED), "--output", str(rows)])
+        return {"exit": code, "output": hashlib.sha256(rows.read_bytes()).hexdigest()}
 
 
 def main(argv: list[str]) -> int:
@@ -74,6 +109,7 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     pins = {case_key(*case): simulate_digests(*case) for case in CASES}
+    pins.update((validate_key(*case), validate_digest(*case)) for case in VALIDATE_CASES)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} pins to {args.out}")

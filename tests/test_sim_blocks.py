@@ -109,7 +109,7 @@ class TestInvariance:
             monkeypatch.setattr(sim_module, "_BLOCK_DRAWS", block_draws)
             for count in (1, 2):
                 workers(count)
-                res = _sample(sim, 1, 0, CHUNK, detail=True)
+                res = _sample(sim, 1, CHUNK, detail=True)
                 results[(_block_requests(cfg), count)] = _arrays(res)
         assert len({block for block, _ in results}) == 2
         (_, reference), *others = results.items()
@@ -130,19 +130,19 @@ class TestInvariance:
         hi = 3 * _block_requests(cfg)
         for p_l, p_c in [(0.1, 0.05), (0.0, 0.05)]:
             sim = _sim(cfg, pl=p_l, pc=p_c)
-            _assert_same_arrays(_sample(sim, 1, 0, hi, detail),
+            _assert_same_arrays(_sample(sim, 1, hi, detail),
                                 _drawn_slice_by_slice(sim, 1, 0, hi, detail))
 
     def test_more_workers_than_cores_with_fast_switching(self, workers, monkeypatch):
         monkeypatch.setattr(sim_module, "_BLOCK_DRAWS", SMALL_BLOCK_DRAWS)
         sim = _sim(CONFIGS[0])
         workers(1)
-        reference = _arrays(_sample(sim, 0, 0, CHUNK, detail=True))
+        reference = _arrays(_sample(sim, 0, CHUNK, detail=True))
         workers(len(os.sched_getaffinity(0)) + 3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            stressed = _arrays(_sample(sim, 0, 0, CHUNK, detail=True))
+            stressed = _arrays(_sample(sim, 0, CHUNK, detail=True))
         finally:
             sys.setswitchinterval(interval)
         for name, values in reference.items():
@@ -207,6 +207,28 @@ class TestCampaignLoop:
         _assert_same_stats(run_campaign(sim), reference)
         _assert_same_stats(run_campaign(sim, record_sink=lambda start, res, valid: None), reference)
 
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.protocol)
+    def test_stats_count_exactly_the_valid_rows(self, cfg):
+        # Two chunks, the second ending inside a block: the totals are those
+        # of the rows the sink is told are valid, to the last bit.
+        sim = _sim(cfg, requests=CHUNK + 100)
+        parts = {}
+
+        def keep(start, res, valid):
+            for name, arr in (*res.values.items(), *res.success.items()):
+                parts.setdefault(name, []).append(arr[:valid])
+
+        stats = run_campaign(sim, record_sink=keep)
+        rows = {name: np.concatenate(arrays).astype(np.int64) for name, arrays in parts.items()}
+        assert len(rows[stats.final_phase]) == sim.requests
+        for st in stats.phase_stats:
+            assert st.mean == int(rows[st.name].sum()) / sim.requests, st.name
+        for name, rate in stats.success.items():
+            assert rate == int(rows[name].sum()) / sim.requests, name
+        final = np.bincount(rows[stats.final_phase], minlength=2)
+        assert len(stats.final_counts) == len(final)
+        assert np.array_equal(stats.final_counts, final / sim.requests)
+
     def test_failing_sink_cancels_prefetched_blocks(self, workers, monkeypatch):
         cfg = CONFIGS[0]
         workers(1)
@@ -253,7 +275,7 @@ class TestRateSkip:
         hi = 3 * _block_requests(cfg)
         for p_l, p_c in self.RATES:
             sim = _sim(cfg, pl=p_l, pc=p_c)
-            _assert_same_arrays(_sample(sim, 1, 0, hi, detail),
+            _assert_same_arrays(_sample(sim, 1, hi, detail),
                                 _drawn_slice_by_slice(sim, 1, 0, hi, detail))
 
     def test_skipped_arrays_are_not_drawn(self, monkeypatch):
@@ -278,7 +300,7 @@ class TestRateSkip:
         monkeypatch.setattr(np.random, "Philox", Counting)
         block = _block_requests(cfg)
         n = cfg.n
-        _sample(_sim(cfg, pl=0.1, pc=0.0), 0, 0, block, detail=False)
+        _sample(_sim(cfg, pl=0.1, pc=0.0), 0, block, detail=False)
         assert sizes == [block * (n - 1), block * (n - 1) * n, block * n * n]
 
 
@@ -319,7 +341,7 @@ def test_large_n_chunk_memory_is_bounded():
     sim = _sim(ProtocolConfig("pbft", 150, 49), requests=CHUNK)
     tracemalloc.start()
     try:
-        blocks = _sample(sim, 0, 0, CHUNK, detail=False)
+        blocks = _sample(sim, 0, CHUNK, detail=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
